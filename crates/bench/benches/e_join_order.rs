@@ -19,6 +19,7 @@
 //! product the planner avoids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use cspdb_core::budget::Meter;
 use cspdb_relalg::{join_all, join_all_size_ordered, plan_join_order, NamedRelation};
 
 /// Deterministic xorshift generator so every run (and the CI smoke
@@ -190,7 +191,11 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     workloads
                         .iter()
-                        .map(|rels| join_all_size_ordered(rels.clone()).len())
+                        .map(|rels| {
+                            join_all_size_ordered(rels.clone(), &mut Meter::default())
+                                .expect("unlimited budget cannot exhaust")
+                                .len()
+                        })
                         .sum::<usize>()
                 })
             },

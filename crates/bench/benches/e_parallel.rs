@@ -1,15 +1,16 @@
-//! e_parallel: sequential vs. shared-meter parallel execution.
+//! e_parallel: sequential vs. parallel execution under one meter.
 //!
 //! Compares the sequential natural join and acyclic (Yannakakis) solver
-//! against their `SharedMeter`-driven parallel counterparts at 2, 4, and
-//! 8 rayon threads. On a single-core host the parallel paths degrade to
-//! sequential execution, so the interesting signal is the overhead of
-//! partitioning and atomic metering, not speedup.
+//! against their parallel counterparts, whose workers each charge a
+//! clone of one `Meter`, at 2, 4, and 8 rayon threads. On a single-core
+//! host the parallel paths degrade to sequential execution, so the
+//! interesting signal is the overhead of partitioning and per-worker
+//! metering, not speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cspdb_bench::e10_chain;
 use cspdb_core::budget::Budget;
-use cspdb_relalg::{solve_acyclic, solve_acyclic_shared, NamedRelation};
+use cspdb_relalg::{solve_acyclic, solve_acyclic_metered, NamedRelation};
 use rayon::ThreadPoolBuilder;
 
 /// Deterministic LCG-filled binary relation over `schema` with `rows`
@@ -49,8 +50,8 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    let meter = Budget::unlimited().shared_meter();
-                    pool.install(|| r.natural_join_parallel(&s, &meter).unwrap())
+                    let mut meter = Budget::unlimited().meter();
+                    pool.install(|| r.natural_join_parallel(&s, &mut meter).unwrap())
                 })
             },
         );
@@ -73,8 +74,8 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    let meter = Budget::unlimited().shared_meter();
-                    pool.install(|| solve_acyclic_shared(&chain, &meter).unwrap())
+                    let mut meter = Budget::unlimited().meter();
+                    pool.install(|| solve_acyclic_metered(&chain, &mut meter, true).unwrap())
                 })
             },
         );

@@ -178,33 +178,16 @@ pub fn k_consistency_refutes(a: &Structure, b: &Structure, k: usize) -> Option<b
     }
 }
 
-/// [`k_consistency_refutes`] under a [`Budget`]
-/// (`cspdb_core::budget::Budget`): the outer `Err` means the game
+/// [`k_consistency_refutes`] under a
+/// [`Meter`](cspdb_core::budget::Meter): the outer `Err` means the game
 /// computation itself ran out of resources, so not even the sound
-/// refutation check completed.
-pub fn k_consistency_refutes_budgeted(
+/// refutation check completed. The caller keeps the meter, so resource
+/// usage (and the tracer it carries) stays readable afterwards.
+pub fn k_consistency_refutes_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    budget: &cspdb_core::budget::Budget,
-) -> Result<Option<bool>, cspdb_core::budget::ExhaustionReason> {
-    if crate::game::spoiler_wins_budgeted(a, b, k, budget)? {
-        Ok(Some(false))
-    } else {
-        Ok(None)
-    }
-}
-
-/// [`k_consistency_refutes`] under any
-/// [`Metering`](cspdb_core::budget::Metering) enforcer: same contract as
-/// [`k_consistency_refutes_budgeted`], but the caller keeps the meter,
-/// so resource usage (and the tracer it carries) stays readable
-/// afterwards.
-pub fn k_consistency_refutes_metered<M: cspdb_core::budget::Metering>(
-    a: &Structure,
-    b: &Structure,
-    k: usize,
-    meter: &mut M,
+    meter: &mut cspdb_core::budget::Meter,
 ) -> Result<Option<bool>, cspdb_core::budget::ExhaustionReason> {
     if crate::game::spoiler_wins_metered(a, b, k, meter)? {
         Ok(Some(false))

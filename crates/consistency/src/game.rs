@@ -15,7 +15,7 @@
 //! `O(n^{2k})` bound shows up as the size of the candidate set — this is
 //! what Experiment E5 measures.
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{PartialHom, Structure};
 use std::collections::HashMap;
@@ -98,7 +98,7 @@ impl WinningStrategy {
 ///
 /// Panics if `k == 0` or the vocabularies differ.
 pub fn largest_winning_strategy(a: &Structure, b: &Structure, k: usize) -> WinningStrategy {
-    largest_winning_strategy_budgeted(a, b, k, &Budget::unlimited())
+    largest_winning_strategy_metered(a, b, k, &mut Meter::default())
         .expect("unlimited budget cannot exhaust")
 }
 
@@ -122,31 +122,19 @@ pub fn wk_table_bound(n: usize, d: usize, k: usize) -> Option<u64> {
     Some(total)
 }
 
-/// [`largest_winning_strategy`] under a [`Budget`]: `Err` when the
+/// [`largest_winning_strategy`] under a [`Meter`]: `Err` when the
 /// budget ran out mid-computation. Steps are ticked per candidate
 /// extension and per fixpoint re-check; each stored candidate is charged
 /// against the tuple cap (the `O(n^k d^k)` table is this algorithm's
-/// memory hazard).
-pub fn largest_winning_strategy_budgeted(
-    a: &Structure,
-    b: &Structure,
-    k: usize,
-    budget: &Budget,
-) -> Result<WinningStrategy, ExhaustionReason> {
-    largest_winning_strategy_metered(a, b, k, &mut budget.meter())
-}
-
-/// [`largest_winning_strategy`] under any [`Metering`] enforcer: same
-/// contract as [`largest_winning_strategy_budgeted`], but the caller
-/// keeps the meter, so resource usage (and the tracer it carries) stays
-/// readable afterwards. Emits one [`TraceEvent::KConsistency`] per
+/// memory hazard). The caller keeps the meter, so resource usage (and
+/// the tracer it carries) stays readable afterwards. Emits one [`TraceEvent::KConsistency`] per
 /// completed run with the candidate-table and greatest-fixpoint
 /// survivor counts.
-pub fn largest_winning_strategy_metered<M: Metering>(
+pub fn largest_winning_strategy_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<WinningStrategy, ExhaustionReason> {
     assert!(k >= 1, "the game needs at least one pebble");
     assert_eq!(a.vocabulary(), b.vocabulary(), "vocabulary mismatch");
@@ -253,24 +241,13 @@ pub fn spoiler_wins(a: &Structure, b: &Structure, k: usize) -> bool {
     !duplicator_wins(a, b, k)
 }
 
-/// [`spoiler_wins`] under a [`Budget`]; `Err` means the game computation
-/// ran out of resources (inconclusive either way).
-pub fn spoiler_wins_budgeted(
-    a: &Structure,
-    b: &Structure,
-    k: usize,
-    budget: &Budget,
-) -> Result<bool, ExhaustionReason> {
-    Ok(largest_winning_strategy_budgeted(a, b, k, budget)?.is_empty())
-}
-
-/// [`spoiler_wins`] under any [`Metering`] enforcer; `Err` means the
+/// [`spoiler_wins`] under a [`Meter`]; `Err` means the
 /// game computation ran out of resources (inconclusive either way).
-pub fn spoiler_wins_metered<M: Metering>(
+pub fn spoiler_wins_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<bool, ExhaustionReason> {
     Ok(largest_winning_strategy_metered(a, b, k, meter)?.is_empty())
 }

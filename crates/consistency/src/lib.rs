@@ -34,16 +34,14 @@ mod local;
 
 pub use establish::{
     dominates, establish_from_strategy, establish_strong_k_consistency, established_is_coherent,
-    k_consistency_refutes, k_consistency_refutes_budgeted, k_consistency_refutes_metered,
-    verify_definition_5_4, Established,
+    k_consistency_refutes, k_consistency_refutes_metered, verify_definition_5_4, Established,
 };
 pub use freuder::{greedy_extend, is_tree_instance, solve_tree_csp, tree_order};
 pub use game::{
-    duplicator_wins, largest_winning_strategy, largest_winning_strategy_budgeted,
-    largest_winning_strategy_metered, spoiler_wins, spoiler_wins_budgeted, spoiler_wins_metered,
-    wk_table_bound, WinningStrategy,
+    duplicator_wins, largest_winning_strategy, largest_winning_strategy_metered, spoiler_wins,
+    spoiler_wins_metered, wk_table_bound, WinningStrategy,
 };
 pub use local::{
-    ac3, ac3_budgeted, ac3_metered, csp_is_strongly_k_consistent, is_i_consistent,
-    is_strongly_k_consistent, partial_homomorphisms,
+    ac3, ac3_metered, csp_is_strongly_k_consistent, is_i_consistent, is_strongly_k_consistent,
+    partial_homomorphisms,
 };

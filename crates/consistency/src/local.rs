@@ -7,7 +7,7 @@
 //! instance is strongly k-consistent iff the family of **all** ≤k partial
 //! homomorphisms is a winning strategy for the Duplicator.
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{CspInstance, PartialHom, Structure};
 
@@ -86,32 +86,23 @@ pub fn csp_is_strongly_k_consistent(instance: &CspInstance, k: usize) -> bool {
 /// wipeout (which proves unsatisfiability). Non-binary constraints are
 /// ignored by this classic algorithm — use the solver's GAC for those.
 pub fn ac3(instance: &CspInstance) -> Option<Vec<Vec<u32>>> {
-    ac3_budgeted(instance, &Budget::unlimited()).expect("unlimited budget cannot exhaust")
+    ac3_metered(instance, &mut Meter::default()).expect("unlimited budget cannot exhaust")
 }
 
-/// [`ac3`] under a [`Budget`], ticking one step per arc revision:
+/// [`ac3`] under a [`Meter`], ticking one step per arc revision:
 /// `Err` when the budget ran out mid-propagation (inconclusive),
 /// `Ok(None)` a *sound* wipeout refutation, `Ok(Some(domains))` the
-/// arc-consistent domains.
-pub fn ac3_budgeted(
-    instance: &CspInstance,
-    budget: &Budget,
-) -> Result<Option<Vec<Vec<u32>>>, ExhaustionReason> {
-    ac3_metered(instance, &mut budget.meter())
-}
-
-/// [`ac3`] under any [`Metering`] enforcer: same contract as
-/// [`ac3_budgeted`], but the caller keeps the meter, so resource usage
-/// (and the tracer it carries) stays readable afterwards. Emits one
+/// arc-consistent domains. The caller keeps the meter, so resource
+/// usage (and the tracer it carries) stays readable afterwards. Emits one
 /// [`TraceEvent::Propagation`] per completed run with the revision and
 /// removal counts.
-pub fn ac3_metered<M: Metering>(
+pub fn ac3_metered(
     instance: &CspInstance,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<Vec<u32>>>, ExhaustionReason> {
     let mut revisions = 0u64;
     let mut removals = 0u64;
-    let emit = |meter: &mut M, revisions: u64, removals: u64, wipeout: bool| {
+    let emit = |meter: &mut Meter, revisions: u64, removals: u64, wipeout: bool| {
         meter.tracer().emit_with(|| TraceEvent::Propagation {
             algorithm: "ac3",
             revisions,

@@ -4,11 +4,25 @@
 //! Every solver path in this workspace can run under a [`Budget`]: a
 //! wall-clock deadline, a step (node/revision/iteration) limit, a cap on
 //! intermediate tuples materialised by join-style algorithms, and a
-//! cooperative [`CancelToken`]. Algorithms thread a [`Meter`] through
-//! their hot loops and call [`Meter::tick`] once per unit of work; the
-//! meter amortises the actual checks (clock reads, atomic loads) to one
-//! in every [`CHECK_INTERVAL`] ticks, so governance costs a counter
-//! increment on the fast path.
+//! cooperative [`CancelToken`]. A budget is plain data; one [`Meter`]
+//! enforces it. Every governed algorithm has one governed entry point,
+//! `<algo>_metered(.., meter: &mut Meter)`, and calls [`Meter::tick`]
+//! once per unit of work and [`Meter::charge_tuples`] per materialised
+//! batch.
+//!
+//! **Local counts.** A meter counts in plain integers. The clock and
+//! the cancellation flag are read once per [`CHECK_INTERVAL`] units, so
+//! governance costs a counter increment on the fast path.
+//!
+//! **Leased quota.** Step and tuple limits live in a pool shared by
+//! every clone of a meter. A handle leases quota from the pool in
+//! `CHECK_INTERVAL` chunks, capped by what remains, and returns what it
+//! did not use when it is dropped. The limit bounds the *total* work of
+//! all handles, exactly.
+//!
+//! **One clone per worker.** A parallel kernel hands each worker a
+//! `meter.clone()`. The first handle to trip latches the reason in the
+//! pool, and every other handle fails its next call.
 //!
 //! When a limit trips, the algorithm unwinds with
 //! [`ExhaustionReason`], and entry points report
@@ -25,9 +39,9 @@ use crate::error::CoreError;
 use crate::faults::{FaultHandle, FaultPlan};
 use crate::trace::{TraceSink, Tracer};
 
-/// Number of [`Meter::tick`] calls between expensive checkpoint checks
-/// (clock read, cancellation flag load). Power of two so the modulo is a
-/// mask.
+/// Number of steps (or tuples) a [`Meter`] handle leases at a time, and
+/// so the number of [`Meter::tick`] calls between expensive checkpoint
+/// checks (clock read, cancellation flag load).
 pub const CHECK_INTERVAL: u64 = 1024;
 
 /// Shared flag for cooperative cancellation.
@@ -245,9 +259,7 @@ impl Budget {
     ///
     /// A zero-width slice (`num == 0`) exhausts immediately: its meters
     /// trip on the first tick or checkpoint regardless of whether the
-    /// parent was limited. (Previously `slice(0, den)` of an unlimited
-    /// parent silently produced another *unlimited* budget, because
-    /// scaling only applied to limits that were present.)
+    /// parent was limited.
     pub fn slice(&self, num: u64, den: u64) -> Budget {
         assert!(den > 0, "slice denominator must be positive");
         if num == 0 {
@@ -272,39 +284,23 @@ impl Budget {
     }
 
     /// Starts enforcement: the returned meter's clock begins now.
+    ///
+    /// Clone the meter to hand one handle to each worker thread: every
+    /// clone draws on the same limits, clock, latch and tracer.
     pub fn meter(&self) -> Meter {
         Meter {
-            start: Instant::now(),
-            deadline: self.deadline,
-            step_limit: self.step_limit,
-            tuple_limit: self.tuple_limit,
-            cancel: self.cancel.clone(),
-            trace: self.trace.clone(),
-            faults: self.faults.clone(),
-            steps: 0,
-            tuples: 0,
-            tripped: None,
-        }
-    }
-
-    /// Starts enforcement shared across threads: the returned
-    /// [`SharedMeter`] draws every clone's steps and tuples from one
-    /// pair of atomic counters, so a parallel algorithm's *total* work
-    /// is bounded, not each worker's.
-    pub fn shared_meter(&self) -> SharedMeter {
-        SharedMeter {
-            inner: Arc::new(SharedMeterState {
+            pool: Arc::new(Pool {
                 start: Instant::now(),
                 deadline: self.deadline,
-                step_limit: self.step_limit,
-                tuple_limit: self.tuple_limit,
                 cancel: self.cancel.clone(),
                 trace: self.trace.clone(),
                 faults: self.faults.clone(),
-                steps: AtomicU64::new(0),
-                tuples: AtomicU64::new(0),
+                steps: Quota::new(self.step_limit),
+                tuples: Quota::new(self.tuple_limit),
                 tripped: AtomicU8::new(TRIP_NONE),
             }),
+            steps: Tally::default(),
+            tuples: Tally::default(),
         }
     }
 }
@@ -332,31 +328,158 @@ impl std::fmt::Display for ResourceUsage {
     }
 }
 
-/// Stateful enforcer of one [`Budget`] over one run.
+/// Stateful enforcer of one [`Budget`] over one run, on one thread or
+/// many.
 ///
-/// The fast path — [`tick`](Meter::tick) off a checkpoint boundary — is
-/// an increment and a mask test. Every [`CHECK_INTERVAL`]-th tick also
-/// reads the clock and the cancellation flag. Once a limit trips, the
-/// meter latches the [`ExhaustionReason`] and every subsequent call
-/// fails immediately, so deeply recursive algorithms unwind promptly.
-#[derive(Debug, Clone)]
+/// A meter is a handle on a shared pool holding the budget's limits,
+/// clock, latched trip and totals. Each handle counts its own steps and
+/// tuples in plain integers and leases quota from the pool in chunks of
+/// [`CHECK_INTERVAL`] (capped by what remains of the limit), so the fast
+/// path — [`tick`](Meter::tick) inside a lease — is one relaxed load of
+/// the latch, an increment and a compare. When a lease runs out the
+/// handle flushes its counts to the pool, leases more and reads the
+/// clock and the cancellation flag. A limit is therefore exact: a step
+/// or tuple limit trips on the first unit of work past it, whichever
+/// handle does that work.
+///
+/// [`Clone`] gives a new handle on the same pool, with no counts and no
+/// quota of its own; a parallel algorithm hands one clone to each
+/// worker. Dropping a handle flushes its counts and returns its unused
+/// quota. Once any handle trips, every handle fails its next call, so
+/// deeply recursive algorithms and sibling workers unwind promptly.
+#[derive(Debug)]
 pub struct Meter {
+    pool: Arc<Pool>,
+    steps: Tally,
+    tuples: Tally,
+}
+
+/// The state every clone of one [`Meter`] shares.
+///
+/// Its atomics use `Relaxed`: the latch and the counters publish no
+/// other data, and a worker's final flush (on drop) is ordered before
+/// the parent's [`Meter::usage`] by the thread join that ends the
+/// worker.
+#[derive(Debug)]
+struct Pool {
     start: Instant,
     deadline: Option<Duration>,
-    step_limit: Option<u64>,
-    tuple_limit: Option<u64>,
     cancel: Option<CancelToken>,
     trace: Tracer,
     faults: FaultHandle,
-    steps: u64,
-    tuples: u64,
-    tripped: Option<ExhaustionReason>,
+    steps: Quota,
+    tuples: Quota,
+    tripped: AtomicU8,
+}
+
+/// One counted resource of a [`Pool`]: its limit, the quota leased to
+/// handles, and the units handles have flushed.
+#[derive(Debug)]
+struct Quota {
+    limit: Option<u64>,
+    leased: AtomicU64,
+    used: AtomicU64,
+}
+
+impl Quota {
+    fn new(limit: Option<u64>) -> Self {
+        Quota {
+            limit,
+            leased: AtomicU64::new(0),
+            used: AtomicU64::new(0),
+        }
+    }
+
+    /// Leases up to `want` units, capped by what remains of the limit.
+    fn lease(&self, want: u64) -> u64 {
+        let Some(limit) = self.limit else {
+            return want;
+        };
+        let mut got = 0;
+        let _ = self
+            .leased
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |leased| {
+                got = want.min(limit.saturating_sub(leased));
+                Some(leased + got)
+            });
+        got
+    }
+
+    /// Returns `n` leased units that were never used.
+    fn give_back(&self, n: u64) {
+        if self.limit.is_some() && n > 0 {
+            self.leased.fetch_sub(n, Ordering::Relaxed);
+        }
+    }
+
+    fn flush(&self, n: u64) {
+        if n > 0 {
+            let _ = self
+                .used
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
+                    Some(u.saturating_add(n))
+                });
+        }
+    }
+}
+
+/// One handle's local count of one resource.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Units counted since the last flush.
+    count: u64,
+    /// The value `count` may reach on the quota this handle holds.
+    room: u64,
+}
+
+impl Tally {
+    /// Flushes the count, then leases quota for the part of it the held
+    /// quota did not cover, plus headroom. False if the limit cannot
+    /// cover it.
+    fn refill(&mut self, quota: &Quota) -> bool {
+        let need = self.count - self.room;
+        quota.flush(self.count);
+        self.count = 0;
+        self.room = 0;
+        let got = quota.lease(need.max(CHECK_INTERVAL));
+        if got < need {
+            quota.give_back(got);
+            return false;
+        }
+        self.room = got - need;
+        true
+    }
+
+    /// Flushes the count and returns the unused quota.
+    fn settle(&mut self, quota: &Quota) {
+        quota.flush(self.count);
+        quota.give_back(self.room.saturating_sub(self.count));
+        *self = Tally::default();
+    }
 }
 
 impl Default for Meter {
     /// An unlimited meter (equivalent to `Budget::unlimited().meter()`).
     fn default() -> Self {
         Budget::unlimited().meter()
+    }
+}
+
+impl Clone for Meter {
+    /// A new handle on the same budget, holding no counts and no quota.
+    fn clone(&self) -> Self {
+        Meter {
+            pool: Arc::clone(&self.pool),
+            steps: Tally::default(),
+            tuples: Tally::default(),
+        }
+    }
+}
+
+impl Drop for Meter {
+    fn drop(&mut self) {
+        self.steps.settle(&self.pool.steps);
+        self.tuples.settle(&self.pool.tuples);
     }
 }
 
@@ -368,17 +491,10 @@ impl Meter {
     /// natural unit of work is.
     #[inline]
     pub fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.tripped {
-            return Err(reason);
-        }
-        self.steps += 1;
-        if let Some(limit) = self.step_limit {
-            if self.steps > limit {
-                return Err(self.trip(ExhaustionReason::StepLimitExceeded));
-            }
-        }
-        if self.steps & (CHECK_INTERVAL - 1) == 0 {
-            self.checkpoint()
+        self.latched()?;
+        self.steps.count += 1;
+        if self.steps.count > self.steps.room {
+            self.refill_steps()
         } else {
             Ok(())
         }
@@ -386,91 +502,128 @@ impl Meter {
 
     /// Records `n` materialised tuples; errs if over the tuple cap.
     ///
-    /// Unlike [`tick`](Meter::tick), the limit check is immediate: a
-    /// single join step can materialise a huge batch, so amortising
-    /// here would defeat the cap. The *expensive* checks (deadline,
-    /// cancellation) are still amortised, at the same cadence as
-    /// `tick`: once per [`CHECK_INTERVAL`] tuples crossed. Without
+    /// Unlike the clock, the tuple cap is checked on every call: a
+    /// single join step can materialise a huge batch, so amortising here
+    /// would defeat the cap. The *expensive* checks (deadline,
+    /// cancellation) run whenever the charge outgrows the handle's
+    /// lease, i.e. at least once per [`CHECK_INTERVAL`] tuples. Without
     /// this, a skewed join whose inner loop only charges tuples — one
     /// outer row matching millions — would never observe a deadline or
     /// a cancellation when no tuple cap is set.
     #[inline]
     pub fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.tripped {
-            return Err(reason);
-        }
-        let before = self.tuples;
-        self.tuples = before.saturating_add(n);
-        if let Some(limit) = self.tuple_limit {
-            if self.tuples > limit {
-                return Err(self.trip(ExhaustionReason::TupleLimitExceeded));
-            }
-        }
-        if before / CHECK_INTERVAL != self.tuples / CHECK_INTERVAL {
-            self.checkpoint()
+        self.latched()?;
+        self.tuples.count = self.tuples.count.saturating_add(n);
+        if self.tuples.count > self.tuples.room {
+            self.refill_tuples()
         } else {
             Ok(())
         }
+    }
+
+    #[cold]
+    fn refill_steps(&mut self) -> std::result::Result<(), ExhaustionReason> {
+        if !self.steps.refill(&self.pool.steps) {
+            return Err(self.trip(ExhaustionReason::StepLimitExceeded));
+        }
+        self.checkpoint()
+    }
+
+    #[cold]
+    fn refill_tuples(&mut self) -> std::result::Result<(), ExhaustionReason> {
+        if !self.tuples.refill(&self.pool.tuples) {
+            return Err(self.trip(ExhaustionReason::TupleLimitExceeded));
+        }
+        self.checkpoint()
     }
 
     /// Forces the expensive checks (clock, cancellation) right now,
     /// regardless of the amortisation counter. Call before starting a
     /// phase whose unit of work is coarse.
     pub fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.tripped {
-            return Err(reason);
-        }
+        self.latched()?;
         // Slow-down faults strike here, where real stalls are observed:
         // amortised to checkpoint cadence, inert = one branch.
-        self.faults.maybe_slow_down();
-        if let Some(token) = &self.cancel {
+        self.pool.faults.maybe_slow_down();
+        if let Some(token) = &self.pool.cancel {
             if token.is_cancelled() {
                 return Err(self.trip(ExhaustionReason::Cancelled));
             }
         }
-        if let Some(deadline) = self.deadline {
-            if self.start.elapsed() >= deadline {
+        if let Some(deadline) = self.pool.deadline {
+            if self.pool.start.elapsed() >= deadline {
                 return Err(self.trip(ExhaustionReason::DeadlineExceeded));
             }
         }
         Ok(())
     }
 
-    fn trip(&mut self, reason: ExhaustionReason) -> ExhaustionReason {
-        self.tripped = Some(reason);
-        reason
+    #[inline]
+    fn latched(&self) -> std::result::Result<(), ExhaustionReason> {
+        self.exhausted().map_or(Ok(()), Err)
     }
 
-    /// The latched exhaustion reason, if any limit has tripped.
+    /// Latches `reason`; the first trip wins and every clone observes it.
+    fn trip(&self, reason: ExhaustionReason) -> ExhaustionReason {
+        match self.pool.tripped.compare_exchange(
+            TRIP_NONE,
+            reason_code(reason),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => reason,
+            Err(prior) => decode_reason(prior).expect("latched code decodes"),
+        }
+    }
+
+    /// The latched exhaustion reason, if any limit has tripped on any
+    /// clone of this meter.
+    #[inline]
     pub fn exhausted(&self) -> Option<ExhaustionReason> {
-        self.tripped
+        decode_reason(self.pool.tripped.load(Ordering::Relaxed))
     }
 
-    /// The tracer carried from the originating [`Budget`].
+    /// The tracer carried from the originating [`Budget`]; shared by
+    /// every clone, so parallel workers emit to one sink.
     #[inline]
     pub fn tracer(&self) -> &Tracer {
-        &self.trace
+        &self.pool.trace
     }
 
-    /// Resources consumed so far.
+    /// Resources consumed so far: everything flushed to the pool (every
+    /// dropped clone's work included) plus this handle's own counts.
     pub fn usage(&self) -> ResourceUsage {
+        let total = |quota: &Quota, tally: &Tally| {
+            quota
+                .used
+                .load(Ordering::Relaxed)
+                .saturating_add(tally.count)
+        };
         ResourceUsage {
-            steps: self.steps,
-            tuples: self.tuples,
-            elapsed: self.start.elapsed(),
+            steps: total(&self.pool.steps, &self.steps),
+            tuples: total(&self.pool.tuples, &self.tuples),
+            elapsed: self.pool.start.elapsed(),
         }
     }
 
     /// The tripped limit as a [`CoreError::ResourceExhausted`], for
     /// APIs surfacing `CoreError`.
     pub fn as_core_error(&self, reason: ExhaustionReason) -> CoreError {
+        let usage = self.usage();
         let (spent, limit) = match reason {
             ExhaustionReason::DeadlineExceeded => (
-                self.start.elapsed().as_millis() as u64,
-                self.deadline.map(|d| d.as_millis() as u64).unwrap_or(0),
+                usage.elapsed.as_millis() as u64,
+                self.pool
+                    .deadline
+                    .map(|d| d.as_millis() as u64)
+                    .unwrap_or(0),
             ),
-            ExhaustionReason::StepLimitExceeded => (self.steps, self.step_limit.unwrap_or(0)),
-            ExhaustionReason::TupleLimitExceeded => (self.tuples, self.tuple_limit.unwrap_or(0)),
+            ExhaustionReason::StepLimitExceeded => {
+                (usage.steps, self.pool.steps.limit.unwrap_or(0))
+            }
+            ExhaustionReason::TupleLimitExceeded => {
+                (usage.tuples, self.pool.tuples.limit.unwrap_or(0))
+            }
             ExhaustionReason::Cancelled => (0, 0),
         };
         CoreError::ResourceExhausted {
@@ -499,225 +652,6 @@ fn decode_reason(code: u8) -> Option<ExhaustionReason> {
         3 => Some(ExhaustionReason::TupleLimitExceeded),
         4 => Some(ExhaustionReason::Cancelled),
         _ => None,
-    }
-}
-
-/// [`Meter`]'s thread-shared counterpart: an `Arc`-shared enforcer whose
-/// step and tuple counters are atomics, so any number of worker threads
-/// can charge one budget concurrently. Cloning is cheap (one `Arc`
-/// bump) and every clone observes the same counters and the same
-/// latched trip, which is what makes cancellation propagate: the first
-/// worker to trip (or an external [`CancelToken::cancel`]) stops every
-/// other worker at its next checkpoint.
-///
-/// The fast path is one `fetch_add(Relaxed)`; the clock and the
-/// cancellation flag are read only when the *global* step count crosses
-/// a [`CHECK_INTERVAL`] boundary, so the amortisation contract of
-/// [`Meter`] carries over: a limit is observed within at most
-/// `CHECK_INTERVAL` units of total work across all workers.
-#[derive(Debug, Clone)]
-pub struct SharedMeter {
-    inner: Arc<SharedMeterState>,
-}
-
-#[derive(Debug)]
-struct SharedMeterState {
-    start: Instant,
-    deadline: Option<Duration>,
-    step_limit: Option<u64>,
-    tuple_limit: Option<u64>,
-    cancel: Option<CancelToken>,
-    trace: Tracer,
-    faults: FaultHandle,
-    steps: AtomicU64,
-    tuples: AtomicU64,
-    tripped: AtomicU8,
-}
-
-impl Default for SharedMeter {
-    /// An unlimited shared meter
-    /// (equivalent to `Budget::unlimited().shared_meter()`).
-    fn default() -> Self {
-        Budget::unlimited().shared_meter()
-    }
-}
-
-impl SharedMeter {
-    /// Records one elementary step; errs once the budget is exhausted.
-    /// Safe to call from any number of threads concurrently.
-    #[inline]
-    pub fn tick(&self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        let steps = self.inner.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.inner.step_limit {
-            if steps > limit {
-                return Err(self.trip(ExhaustionReason::StepLimitExceeded));
-            }
-        }
-        if steps & (CHECK_INTERVAL - 1) == 0 {
-            self.checkpoint()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Records `n` materialised tuples; the tuple-cap check is
-    /// immediate, the deadline/cancellation check amortised (same
-    /// contract as [`Meter::charge_tuples`]).
-    #[inline]
-    pub fn charge_tuples(&self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        let before = self
-            .inner
-            .tuples
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some(t.saturating_add(n))
-            })
-            .expect("fetch_update closure never returns None");
-        let after = before.saturating_add(n);
-        if let Some(limit) = self.inner.tuple_limit {
-            if after > limit {
-                return Err(self.trip(ExhaustionReason::TupleLimitExceeded));
-            }
-        }
-        if before / CHECK_INTERVAL != after / CHECK_INTERVAL {
-            self.checkpoint()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Forces the expensive checks (clock, cancellation) right now.
-    pub fn checkpoint(&self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        self.inner.faults.maybe_slow_down();
-        if let Some(token) = &self.inner.cancel {
-            if token.is_cancelled() {
-                return Err(self.trip(ExhaustionReason::Cancelled));
-            }
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if self.inner.start.elapsed() >= deadline {
-                return Err(self.trip(ExhaustionReason::DeadlineExceeded));
-            }
-        }
-        Ok(())
-    }
-
-    /// Latches `reason`; the first trip wins and every clone observes it.
-    fn trip(&self, reason: ExhaustionReason) -> ExhaustionReason {
-        match self.inner.tripped.compare_exchange(
-            TRIP_NONE,
-            reason_code(reason),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => reason,
-            Err(prior) => decode_reason(prior).expect("latched code decodes"),
-        }
-    }
-
-    /// The latched exhaustion reason, if any limit has tripped.
-    pub fn exhausted(&self) -> Option<ExhaustionReason> {
-        decode_reason(self.inner.tripped.load(Ordering::Relaxed))
-    }
-
-    /// The tracer carried from the originating [`Budget`]; shared by
-    /// every clone, so parallel workers emit to one sink.
-    #[inline]
-    pub fn tracer(&self) -> &Tracer {
-        &self.inner.trace
-    }
-
-    /// Resources consumed so far, totalled across every clone.
-    pub fn usage(&self) -> ResourceUsage {
-        ResourceUsage {
-            steps: self.inner.steps.load(Ordering::Relaxed),
-            tuples: self.inner.tuples.load(Ordering::Relaxed),
-            elapsed: self.inner.start.elapsed(),
-        }
-    }
-}
-
-/// The metering operations shared by [`Meter`] (single-threaded, plain
-/// counters) and [`SharedMeter`] (thread-shared, atomic counters).
-///
-/// Algorithms generic over `M: Metering` run unchanged sequentially or
-/// inside a parallel worker; the parallel caller hands each worker a
-/// clone of one `SharedMeter` so the *combined* work stays within one
-/// budget.
-pub trait Metering {
-    /// Records one elementary step; errs once the budget is exhausted.
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason>;
-    /// Records `n` materialised tuples.
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason>;
-    /// Forces the expensive checks (clock, cancellation) right now.
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason>;
-    /// Resources consumed so far.
-    fn usage(&self) -> ResourceUsage;
-    /// The latched exhaustion reason, if any limit has tripped.
-    fn exhausted(&self) -> Option<ExhaustionReason>;
-    /// The telemetry handle carried alongside the meter; disabled
-    /// (a single-branch no-op) unless the originating [`Budget`] had a
-    /// sink attached via [`Budget::with_trace`].
-    fn tracer(&self) -> &Tracer;
-}
-
-impl Metering for Meter {
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        Meter::tick(self)
-    }
-
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        Meter::charge_tuples(self, n)
-    }
-
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        Meter::checkpoint(self)
-    }
-
-    fn usage(&self) -> ResourceUsage {
-        Meter::usage(self)
-    }
-
-    fn exhausted(&self) -> Option<ExhaustionReason> {
-        Meter::exhausted(self)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        Meter::tracer(self)
-    }
-}
-
-impl Metering for SharedMeter {
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::tick(self)
-    }
-
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::charge_tuples(self, n)
-    }
-
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::checkpoint(self)
-    }
-
-    fn usage(&self) -> ResourceUsage {
-        SharedMeter::usage(self)
-    }
-
-    fn exhausted(&self) -> Option<ExhaustionReason> {
-        SharedMeter::exhausted(self)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        SharedMeter::tracer(self)
     }
 }
 
@@ -989,11 +923,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_meter_counts_across_threads() {
-        let m = Budget::unlimited().shared_meter();
+    fn meter_clones_count_across_threads() {
+        let m = Budget::unlimited().meter();
         thread::scope(|s| {
             for _ in 0..4 {
-                let m = m.clone();
+                let mut m = m.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
                         m.tick().unwrap();
@@ -1009,15 +943,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_meter_step_limit_is_global() {
+    fn meter_clones_share_one_step_limit() {
         // Four workers share a 2000-step budget: the limit bounds their
         // *sum*, and every worker observes the latched trip.
-        let m = Budget::new().with_step_limit(2000).shared_meter();
+        let m = Budget::new().with_step_limit(2000).meter();
         let mut reasons = Vec::new();
         thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let m = m.clone();
+                    let mut m = m.clone();
                     s.spawn(move || {
                         for _ in 0..1000 {
                             if let Err(r) = m.tick() {
@@ -1042,30 +976,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_meter_first_trip_wins() {
-        let m = Budget::new()
-            .with_step_limit(1)
-            .with_tuple_limit(1)
-            .shared_meter();
+    fn meter_clones_first_trip_wins() {
+        let mut m = Budget::new().with_step_limit(1).with_tuple_limit(1).meter();
         m.tick().unwrap();
         assert_eq!(m.tick(), Err(ExhaustionReason::StepLimitExceeded));
         // A later, different violation reports the latched reason.
         assert_eq!(
-            m.charge_tuples(100),
+            m.clone().charge_tuples(100),
             Err(ExhaustionReason::StepLimitExceeded)
         );
     }
 
     #[test]
-    fn shared_meter_cancellation_stops_workers_promptly() {
+    fn meter_clones_stop_promptly_on_cancel() {
         // Bounded-latency cancellation: once the token fires, every
         // worker unwinds within one CHECK_INTERVAL of further ticks.
         let token = CancelToken::new();
-        let m = Budget::new().with_cancel(token.clone()).shared_meter();
+        let m = Budget::new().with_cancel(token.clone()).meter();
         thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {
-                    let m = m.clone();
+                    let mut m = m.clone();
                     s.spawn(move || {
                         let mut ticks_after_latch = 0u64;
                         loop {
@@ -1090,10 +1021,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_meter_deadline_trips() {
-        let m = Budget::new()
+    fn meter_clone_deadline_trips() {
+        let mut m = Budget::new()
             .with_deadline(Duration::from_millis(1))
-            .shared_meter();
+            .meter()
+            .clone();
         thread::sleep(Duration::from_millis(3));
         let mut tripped = false;
         for _ in 0..=CHECK_INTERVAL {
@@ -1106,20 +1038,24 @@ mod tests {
     }
 
     #[test]
-    fn metering_trait_unifies_both_meters() {
-        fn burn<M: Metering>(meter: &mut M) -> std::result::Result<u64, ExhaustionReason> {
-            for _ in 0..10 {
-                meter.tick()?;
-                meter.charge_tuples(1)?;
-            }
-            Ok(meter.usage().steps)
+    fn dropped_clone_returns_unused_quota() {
+        let m = Budget::new().with_step_limit(2000).meter();
+        let mut first = m.clone();
+        for _ in 0..10 {
+            first.tick().unwrap();
         }
-        let mut plain = Budget::unlimited().meter();
-        let mut shared = Budget::unlimited().shared_meter();
-        assert_eq!(burn(&mut plain), Ok(10));
-        assert_eq!(burn(&mut shared), Ok(10));
-        let mut capped = Budget::new().with_step_limit(5).shared_meter();
-        assert_eq!(burn(&mut capped), Err(ExhaustionReason::StepLimitExceeded));
+        drop(first);
+        let mut second = m.clone();
+        let mut ticks = 0u64;
+        let reason = loop {
+            match second.tick() {
+                Ok(()) => ticks += 1,
+                Err(reason) => break reason,
+            }
+        };
+        assert_eq!(reason, ExhaustionReason::StepLimitExceeded);
+        assert_eq!(ticks, 1990, "the dropped clone's unused lease must return");
+        assert_eq!(m.usage().steps, 2001, "the failing tick counts");
     }
 
     #[test]
@@ -1159,7 +1095,7 @@ mod tests {
             t.elapsed() >= Duration::from_millis(5),
             "checkpoint must observe the injected stall"
         );
-        let shared = Budget::new().with_faults(plan).shared_meter();
+        let mut shared = Budget::new().with_faults(plan).meter().clone();
         let t = Instant::now();
         shared.checkpoint().unwrap();
         assert!(t.elapsed() >= Duration::from_millis(5));

@@ -17,9 +17,9 @@
 //! **Cost model.** The default handle is *inert*: every
 //! [`FaultHandle::fire`] is a single branch on an `Option` that is
 //! `None` — no atomics touched, nothing allocated — mirroring the
-//! disabled-[`Tracer`] contract. Production builds pay one predictable
-//! branch per site; the full machinery only materialises when a plan is
-//! parsed from `--faults=SPEC`.
+//! disabled-[`Tracer`](crate::trace::Tracer) contract. Production builds
+//! pay one predictable branch per site; the full machinery only
+//! materialises when a plan is parsed from `--faults=SPEC`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

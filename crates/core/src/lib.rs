@@ -40,9 +40,7 @@ pub mod sum;
 pub mod trace;
 mod vocabulary;
 
-pub use budget::{
-    Answer, Budget, CancelToken, ExhaustionReason, Meter, Metering, ResourceUsage, SharedMeter,
-};
+pub use budget::{Answer, Budget, CancelToken, ExhaustionReason, Meter, ResourceUsage};
 pub use csp::{is_coherent, make_coherent, Constraint, CspInstance};
 pub use error::{CoreError, Result};
 pub use faults::{silence_injected_panics, FaultHandle, FaultInjector, FaultPlan, FaultSite};

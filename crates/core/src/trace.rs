@@ -6,7 +6,7 @@
 //! tier won, how many rows each join operator produced, how fast the
 //! Datalog deltas shrank, where the budget was spent when a run
 //! exhausts. Algorithms emit [`TraceEvent`]s through the [`Tracer`]
-//! reachable from any [`crate::budget::Metering`] implementation; the
+//! reachable from every [`crate::budget::Meter`]; the
 //! events flow to a [`TraceSink`]:
 //!
 //! * [`NullSink`] — swallows everything (for overhead measurements);

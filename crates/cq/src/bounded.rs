@@ -220,7 +220,7 @@ type EvalMemo = HashMap<(usize, Vec<(u8, u32)>), bool>;
 /// Evaluates a bounded-variable *sentence* (no free registers) on **B**
 /// with memoization on `(subformula, live-register environment)` — the
 /// polynomial-time combined-complexity evaluation of `∃FO^k` cited from
-/// [58] in the proof of Theorem 6.2.
+/// \[58\] in the proof of Theorem 6.2.
 pub fn evaluate_sentence(formula: &BoundedFormula, b: &Structure) -> bool {
     let mut env: Vec<Option<u32>> = vec![None; 256];
     let mut memo: EvalMemo = HashMap::new();

@@ -10,7 +10,7 @@
 
 use crate::canonical::canonical_database;
 use crate::query::ConjunctiveQuery;
-use cspdb_core::budget::{Budget, ExhaustionReason};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::{Relation, Structure};
 use cspdb_relalg::NamedRelation;
 use std::collections::{HashMap, HashSet};
@@ -46,10 +46,10 @@ impl std::error::Error for CqEvalError {}
 /// Returns a message if a query predicate is missing from `db` or used
 /// with the wrong arity.
 pub fn evaluate_by_search(q: &ConjunctiveQuery, db: &Structure) -> Result<Relation, String> {
-    evaluate_by_search_budgeted(q, db, &Budget::unlimited()).map_err(|e| e.to_string())
+    evaluate_by_search_metered(q, db, &mut Meter::default()).map_err(|e| e.to_string())
 }
 
-/// [`evaluate_by_search`] under a [`Budget`]. The search enumerates
+/// [`evaluate_by_search`] under a [`Meter`]. The search enumerates
 /// homomorphisms, but never more than the answer needs: a Boolean query
 /// (no distinguished variables) stops at the first witness, and a
 /// non-Boolean query tracks the projected tuples already seen in a
@@ -60,10 +60,10 @@ pub fn evaluate_by_search(q: &ConjunctiveQuery, db: &Structure) -> Result<Relati
 ///
 /// [`CqEvalError::Invalid`] if the query does not fit the database,
 /// [`CqEvalError::Exhausted`] if the budget ran out (inconclusive).
-pub fn evaluate_by_search_budgeted(
+pub fn evaluate_by_search_metered(
     q: &ConjunctiveQuery,
     db: &Structure,
-    budget: &Budget,
+    meter: &mut Meter,
 ) -> Result<Relation, CqEvalError> {
     let canon = canonical_database(q, false);
     check_compatible(q, db).map_err(CqEvalError::Invalid)?;
@@ -77,7 +77,7 @@ pub fn evaluate_by_search_budgeted(
         .collect();
     let problem = cspdb_solver::Problem::from_structures(&a, db);
     let mut search =
-        cspdb_solver::Search::with_budget(&problem, cspdb_solver::Config::default(), budget);
+        cspdb_solver::Search::with_meter(&problem, cspdb_solver::Config::default(), meter.clone());
     let boolean = q.is_boolean();
     let mut answers: HashSet<Vec<u32>> = HashSet::new();
     let outcome = search.run(None, |h| {
@@ -325,7 +325,7 @@ mod tests {
         let q = ConjunctiveQuery::parse("Q :- E(X,Y), E(Y,Z)").unwrap();
         let rec = Arc::new(Recorder::new());
         let budget = Budget::unlimited().with_trace(rec.clone());
-        let ans = evaluate_by_search_budgeted(&q, &db, &budget).unwrap();
+        let ans = evaluate_by_search_metered(&q, &db, &mut budget.meter()).unwrap();
         assert!(!ans.is_empty(), "K12 satisfies the query");
         let nodes = rec
             .events()

@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn join_plan_section_pairs_estimates_with_actuals() {
-        use cspdb_relalg::{join_all_budgeted, NamedRelation};
+        use cspdb_relalg::{join_all_metered, NamedRelation};
         let rec = Arc::new(Recorder::new());
         let budget = Budget::unlimited().with_trace(rec.clone());
         let mut meter = budget.meter();
@@ -361,7 +361,7 @@ mod tests {
         let r = NamedRelation::new(vec![0, 1], vec![vec![1, 2], vec![2, 3]]);
         let s = NamedRelation::new(vec![1, 2], vec![vec![2, 4], vec![3, 5]]);
         let t = NamedRelation::new(vec![2, 3], vec![vec![4, 6], vec![5, 7]]);
-        let joined = join_all_budgeted(vec![r, s, t], &mut meter).unwrap();
+        let joined = join_all_metered(&[r, s, t], &mut meter).unwrap();
         assert_eq!(joined.len(), 2);
         let events = rec.take();
         let plan = render_join_plan(&events).expect("a plan was recorded");
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn join_plan_section_renders_wcoj_levels() {
-        use cspdb_relalg::{join_all_budgeted, NamedRelation};
+        use cspdb_relalg::{join_all_metered, NamedRelation};
         let rec = Arc::new(Recorder::new());
         let budget = Budget::unlimited().with_trace(rec.clone());
         let mut meter = budget.meter();
@@ -392,7 +392,7 @@ mod tests {
         let r = NamedRelation::new(vec![0, 1], edges.clone());
         let s = NamedRelation::new(vec![1, 2], edges.clone());
         let t = NamedRelation::new(vec![2, 0], edges);
-        let joined = join_all_budgeted(vec![r, s, t], &mut meter).unwrap();
+        let joined = join_all_metered(&[r, s, t], &mut meter).unwrap();
         assert_eq!(joined.len(), 8 * 7 * 6);
         let events = rec.take();
         let plan = render_join_plan(&events).expect("a plan was recorded");

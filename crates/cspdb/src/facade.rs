@@ -19,7 +19,7 @@
 //! [`TraceEvent`]s from every phase of the run, and read the per-phase
 //! wall-time/step/tuple summary from [`GovernedReport::trace`].
 
-use cspdb_core::budget::{Answer, Budget, CancelToken, ExhaustionReason, Metering, ResourceUsage};
+use cspdb_core::budget::{Answer, Budget, CancelToken, ExhaustionReason, Meter, ResourceUsage};
 use cspdb_core::trace::{TraceEvent, TraceSink, Tracer};
 use cspdb_core::{CspInstance, Structure};
 use cspdb_solver::BudgetedRun;
@@ -120,7 +120,7 @@ pub struct TierAttempt {
 
 /// Wall time and meter counters one phase of a governed run consumed.
 ///
-/// Under portfolio racing all racers draw on one shared meter, so step
+/// Under portfolio racing all racers draw on clones of one meter, so step
 /// and tuple counts are unattributable per racer: racer phases report
 /// zero counters and an aggregate `"portfolio"` phase carries the
 /// totals.
@@ -269,8 +269,8 @@ pub enum SolveStrategy {
     /// fallbacks, each under a budget slice (the default).
     #[default]
     Ladder,
-    /// The applicable structural strategies race on [`rayon`] workers
-    /// under one thread-shared meter; first sound answer wins and
+    /// The applicable structural strategies race on [`rayon`] workers,
+    /// each charging a clone of one meter; first sound answer wins and
     /// cancels the rest.
     Portfolio,
 }
@@ -352,10 +352,11 @@ impl Solver {
         self
     }
 
-    /// Runs ladder tiers (and the direct solve) on their parallel,
-    /// thread-shared-meter implementations instead of the sequential
-    /// ones. [`SolveStrategy::Portfolio`] always races in parallel,
-    /// regardless of this flag.
+    /// Runs the ladder's Yannakakis and treewidth tiers on their
+    /// level-parallel kernels instead of the sequential ones. The
+    /// verdicts and witnesses are identical either way.
+    /// [`SolveStrategy::Portfolio`] always races in parallel, regardless
+    /// of this flag.
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -388,7 +389,7 @@ impl Solver {
             None => self.budget.clone(),
         };
         match self.strategy {
-            SolveStrategy::Direct => run_direct(instance, &budget, self.parallel),
+            SolveStrategy::Direct => run_direct(instance, &budget),
             SolveStrategy::Ladder => run_ladder(instance, &budget, self.parallel),
             SolveStrategy::Portfolio => run_portfolio(instance, &budget),
         }
@@ -613,14 +614,10 @@ fn consistency_fallbacks(
 }
 
 /// [`SolveStrategy::Direct`]: MAC backtracking with no dispatch.
-fn run_direct(instance: &CspInstance, budget: &Budget, parallel: bool) -> GovernedReport {
+fn run_direct(instance: &CspInstance, budget: &Budget) -> GovernedReport {
     let mut d = Dispatch::new(budget);
     let start = d.begin("backtracking");
-    let run = if parallel {
-        cspdb_solver::solve_csp_shared(instance, &budget.shared_meter())
-    } else {
-        cspdb_solver::solve_csp_metered(instance, budget.meter())
-    };
+    let run = cspdb_solver::solve_csp_metered(instance, &mut budget.meter());
     let usage = run.usage;
     match run.answer {
         Answer::Unknown(r) => {
@@ -666,15 +663,9 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
     if cspdb_relalg::is_acyclic_instance(instance) {
         let slice = budget.slice(1, 4);
         let start = d.begin("yannakakis");
-        let (result, usage) = if parallel {
-            let meter = slice.shared_meter();
-            let r = cspdb_relalg::solve_acyclic_shared(instance, &meter);
-            (r, meter.usage())
-        } else {
-            let mut meter = slice.meter();
-            let r = cspdb_relalg::solve_acyclic_metered(instance, &mut meter);
-            (r, meter.usage())
-        };
+        let mut meter = slice.meter();
+        let result = cspdb_relalg::solve_acyclic_metered(instance, &mut meter, parallel);
+        let usage = meter.usage();
         match result {
             Ok(witness) => {
                 return d.decided(
@@ -711,42 +702,22 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
         let slice = budget.slice(1, 4);
         let g = cspdb_decomp::Graph::gaifman(&a);
         let start = d.begin("treewidth");
-        if parallel {
-            let meter = slice.shared_meter();
-            match treewidth_tier(&a, &b, &g, parallel, &mut meter.clone(), Some(&meter)) {
-                TreewidthTier::Decided(width, witness) => {
-                    return d.decided(
-                        answer_of(witness),
-                        Strategy::Treewidth(width),
-                        micros_since(start),
-                        meter.usage(),
-                    )
-                }
-                TreewidthTier::Other(width, outcome) => d.finish(
+        let mut meter = slice.meter();
+        match treewidth_tier(&a, &b, &g, &mut meter, parallel) {
+            TreewidthTier::Decided(width, witness) => {
+                return d.decided(
+                    answer_of(witness),
                     Strategy::Treewidth(width),
-                    outcome,
                     micros_since(start),
                     meter.usage(),
-                ),
+                )
             }
-        } else {
-            let mut meter = slice.meter();
-            match treewidth_tier(&a, &b, &g, parallel, &mut meter, None) {
-                TreewidthTier::Decided(width, witness) => {
-                    return d.decided(
-                        answer_of(witness),
-                        Strategy::Treewidth(width),
-                        micros_since(start),
-                        meter.usage(),
-                    )
-                }
-                TreewidthTier::Other(width, outcome) => d.finish(
-                    Strategy::Treewidth(width),
-                    outcome,
-                    micros_since(start),
-                    meter.usage(),
-                ),
-            }
+            TreewidthTier::Other(width, outcome) => d.finish(
+                Strategy::Treewidth(width),
+                outcome,
+                micros_since(start),
+                meter.usage(),
+            ),
         }
     }
 
@@ -755,11 +726,7 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
     {
         let slice = budget.slice(1, 4);
         let start = d.begin("backtracking");
-        let run = if parallel {
-            cspdb_solver::solve_csp_shared(instance, &slice.shared_meter())
-        } else {
-            cspdb_solver::solve_csp_metered(instance, slice.meter())
-        };
+        let run = cspdb_solver::solve_csp_metered(instance, &mut slice.meter());
         let usage = run.usage;
         match run.answer {
             Answer::Unknown(r) => d.finish(
@@ -785,17 +752,14 @@ enum TreewidthTier {
 }
 
 /// Runs min-fill planning, the cutoff check, and the decomposition DP on
-/// one meter. `shared` selects the level-parallel DP (the planning pass
-/// charges `meter` either way).
-fn treewidth_tier<M: Metering>(
+/// one meter. `parallel` selects the level-parallel DP.
+fn treewidth_tier(
     a: &Structure,
     b: &Structure,
     g: &cspdb_decomp::Graph,
+    meter: &mut Meter,
     parallel: bool,
-    meter: &mut M,
-    shared: Option<&cspdb_core::budget::SharedMeter>,
 ) -> TreewidthTier {
-    debug_assert_eq!(parallel, shared.is_some());
     let order = match cspdb_decomp::min_fill_order_metered(g, meter) {
         Ok(order) => order,
         Err(r) => {
@@ -812,11 +776,7 @@ fn treewidth_tier<M: Metering>(
         );
     }
     let td = cspdb_decomp::from_elimination_order(g, &order);
-    let result = match shared {
-        Some(shared) => cspdb_decomp::solve_with_decomposition_shared(a, b, &td, shared),
-        None => cspdb_decomp::solve_with_decomposition_metered(a, b, &td, meter),
-    };
-    match result {
+    match cspdb_decomp::solve_with_decomposition_metered(a, b, &td, meter, parallel) {
         Ok(witness) => TreewidthTier::Decided(width, witness),
         Err(cspdb_decomp::DecompSolveError::Exhausted(r)) => {
             TreewidthTier::Other(width, TierOutcome::Exhausted(r))
@@ -837,8 +797,8 @@ enum RaceResult {
 /// [`SolveStrategy::Portfolio`]: instead of walking the ladder tier by
 /// tier with budget *slices*, the applicable structural strategies —
 /// Yannakakis on acyclic instances, the treewidth DP when planning stays
-/// under the cutoff, and MAC backtracking — **race on [`rayon`] workers
-/// under one thread-shared [`cspdb_core::budget::SharedMeter`]**. The
+/// under the cutoff, and MAC backtracking — **race on [`rayon`] workers,
+/// each charging a clone of one [`Meter`]**. The
 /// budget's step, tuple, and deadline limits bound the racers' *total*
 /// work, and the first racer to produce a sound answer cancels the rest
 /// through a [`CancelToken`] child of the caller's token (so cancelling
@@ -858,7 +818,7 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
         return d.decided(answer, strategy, micros, ResourceUsage::default());
     }
 
-    // 2. Race the structural strategies under one shared meter. The race
+    // 2. Race the structural strategies under one meter. The race
     // token is a *child* of the caller's token: caller cancellation
     // propagates in, the winner's `race.cancel()` does not leak out.
     let race = match &budget.cancel {
@@ -866,7 +826,7 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
         None => CancelToken::new(),
     };
     let race_budget = budget.clone().with_cancel(race.clone());
-    let meter = race_budget.shared_meter();
+    let meter = race_budget.meter();
     let acyclic = cspdb_relalg::is_acyclic_instance(instance);
     let (a, b) = instance.to_homomorphism();
 
@@ -884,16 +844,17 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
                     micros_since(start),
                 );
             }
-            let result = match cspdb_relalg::solve_acyclic_shared(instance, &meter) {
-                Ok(witness) => {
-                    race.cancel();
-                    RaceResult::Decided(answer_of(witness))
-                }
-                Err(cspdb_relalg::AcyclicSolveError::Exhausted(r)) => RaceResult::Exhausted(r),
-                Err(cspdb_relalg::AcyclicSolveError::NotAcyclic) => {
-                    unreachable!("checked acyclic")
-                }
-            };
+            let result =
+                match cspdb_relalg::solve_acyclic_metered(instance, &mut meter.clone(), true) {
+                    Ok(witness) => {
+                        race.cancel();
+                        RaceResult::Decided(answer_of(witness))
+                    }
+                    Err(cspdb_relalg::AcyclicSolveError::Exhausted(r)) => RaceResult::Exhausted(r),
+                    Err(cspdb_relalg::AcyclicSolveError::NotAcyclic) => {
+                        unreachable!("checked acyclic")
+                    }
+                };
             (Strategy::Yannakakis, result, micros_since(start))
         }),
         Box::new(|| {
@@ -902,23 +863,22 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
             });
             let start = Instant::now();
             let g = cspdb_decomp::Graph::gaifman(&a);
-            let (strategy, result) =
-                match treewidth_tier(&a, &b, &g, true, &mut meter.clone(), Some(&meter)) {
-                    TreewidthTier::Decided(width, witness) => {
-                        race.cancel();
-                        (
-                            Strategy::Treewidth(width),
-                            RaceResult::Decided(answer_of(witness)),
-                        )
-                    }
-                    TreewidthTier::Other(width, TierOutcome::Exhausted(r)) => {
-                        (Strategy::Treewidth(width), RaceResult::Exhausted(r))
-                    }
-                    TreewidthTier::Other(width, TierOutcome::Skipped(why)) => {
-                        (Strategy::Treewidth(width), RaceResult::Skipped(why))
-                    }
-                    TreewidthTier::Other(..) => unreachable!("planning is exhaustive"),
-                };
+            let (strategy, result) = match treewidth_tier(&a, &b, &g, &mut meter.clone(), true) {
+                TreewidthTier::Decided(width, witness) => {
+                    race.cancel();
+                    (
+                        Strategy::Treewidth(width),
+                        RaceResult::Decided(answer_of(witness)),
+                    )
+                }
+                TreewidthTier::Other(width, TierOutcome::Exhausted(r)) => {
+                    (Strategy::Treewidth(width), RaceResult::Exhausted(r))
+                }
+                TreewidthTier::Other(width, TierOutcome::Skipped(why)) => {
+                    (Strategy::Treewidth(width), RaceResult::Skipped(why))
+                }
+                TreewidthTier::Other(..) => unreachable!("planning is exhaustive"),
+            };
             (strategy, result, micros_since(start))
         }),
         Box::new(|| {
@@ -926,7 +886,7 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
                 strategy: "backtracking",
             });
             let start = Instant::now();
-            let run = cspdb_solver::solve_csp_shared(instance, &meter);
+            let run = cspdb_solver::solve_csp_metered(instance, &mut meter.clone());
             let result = match run.answer {
                 Answer::Unknown(r) => RaceResult::Exhausted(r),
                 sound => {
@@ -963,8 +923,8 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
                 TierOutcome::Exhausted(r)
             }
         };
-        // Racer phases report zero counters: the meter is shared, so
-        // per-racer step/tuple attribution does not exist.
+        // Racer phases report zero counters: the racers share one
+        // budget, so per-racer step/tuple attribution does not exist.
         d.finish(strategy, outcome, micros, ResourceUsage::default());
     }
     if let Some((strategy, _)) = &winner {
@@ -1281,9 +1241,9 @@ mod tests {
         assert!(governed.outcome().is_sat());
         assert_eq!(governed.attempts.len(), 1);
 
-        let run = cspdb_solver::solve_csp_budgeted(
+        let run = cspdb_solver::solve_csp_metered(
             &CspInstance::from_homomorphism(&cycle(5), &clique(3)).unwrap(),
-            &Budget::unlimited(),
+            &mut Budget::unlimited().meter(),
         );
         assert!(run.outcome().is_sat());
         let governed: GovernedReport = run.into();
@@ -1291,9 +1251,9 @@ mod tests {
         assert_eq!(governed.strategy, Some(Strategy::Backtracking));
         assert_eq!(governed.trace.phases.len(), 1);
 
-        let exhausted = cspdb_solver::solve_csp_budgeted(
+        let exhausted = cspdb_solver::solve_csp_metered(
             &CspInstance::from_homomorphism(&clique(5), &clique(4)).unwrap(),
-            &Budget::new().with_step_limit(1),
+            &mut Budget::new().with_step_limit(1).meter(),
         );
         let governed: GovernedReport = exhausted.into();
         assert!(governed.outcome().is_unknown());

@@ -10,7 +10,7 @@
 //! recomputed.
 
 use crate::ast::{Program, Rule, Term};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{Relation, Structure};
 use std::collections::HashMap;
@@ -71,38 +71,28 @@ impl Evaluation {
 /// Returns a message when an EDB predicate is missing from the structure,
 /// arities are inconsistent, or a constant exceeds the domain.
 pub fn evaluate(program: &Program, edb: &Structure) -> Result<Evaluation, String> {
-    evaluate_budgeted(program, edb, &Budget::unlimited()).map_err(|e| match e {
+    evaluate_metered(program, edb, &mut Meter::default()).map_err(|e| match e {
         EvalError::Invalid(msg) => msg,
         EvalError::Exhausted(_) => unreachable!("unlimited budget cannot exhaust"),
     })
 }
 
-/// [`evaluate`] under a [`Budget`]: one step is ticked per EDB/IDB tuple
+/// [`evaluate`] under a [`Meter`]: one step is ticked per EDB/IDB tuple
 /// scanned while matching rule bodies, and every newly derived fact is
 /// charged against the tuple cap, so both runaway recursion and runaway
-/// materialization abort instead of hanging.
+/// materialization abort instead of hanging. The caller keeps the
+/// meter, so resource usage (and the tracer it carries) stays readable
+/// afterwards. Emits one [`TraceEvent::DatalogIteration`] per semi-naive
+/// round with the delta and cumulative fact counts.
 ///
 /// # Errors
 ///
 /// [`EvalError::Invalid`] mirrors [`evaluate`]'s error cases;
 /// [`EvalError::Exhausted`] means the fixpoint was not reached.
-pub fn evaluate_budgeted(
+pub fn evaluate_metered(
     program: &Program,
     edb: &Structure,
-    budget: &Budget,
-) -> Result<Evaluation, EvalError> {
-    evaluate_metered(program, edb, &mut budget.meter())
-}
-
-/// [`evaluate`] under any [`Metering`] enforcer: same contract as
-/// [`evaluate_budgeted`], but the caller keeps the meter, so resource
-/// usage (and the tracer it carries) stays readable afterwards. Emits
-/// one [`TraceEvent::DatalogIteration`] per semi-naive round with the
-/// delta and cumulative fact counts.
-pub fn evaluate_metered<M: Metering>(
-    program: &Program,
-    edb: &Structure,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Evaluation, EvalError> {
     let domain = edb.domain_size() as u32;
     // Infer predicate arities.
@@ -258,17 +248,17 @@ pub fn goal_holds(program: &Program, edb: &Structure) -> Result<bool, String> {
         .ok_or_else(|| format!("goal predicate {} is not an IDB", program.goal))
 }
 
-/// [`goal_holds`] under a [`Budget`]. Note the one-sidedness: because
+/// [`goal_holds`] under a [`Meter`]. Note the one-sidedness: because
 /// bottom-up evaluation only ever derives facts that *do* hold, a `true`
 /// answer needs no completed fixpoint, but `false` does — so exhaustion
 /// is reported as [`EvalError::Exhausted`] rather than a (possibly
 /// unsound) `false`.
-pub fn goal_holds_budgeted(
+pub fn goal_holds_metered(
     program: &Program,
     edb: &Structure,
-    budget: &Budget,
+    meter: &mut Meter,
 ) -> Result<bool, EvalError> {
-    let eval = evaluate_budgeted(program, edb, budget)?;
+    let eval = evaluate_metered(program, edb, meter)?;
     eval.relations
         .get(&program.goal)
         .map(|r| !r.is_empty())
@@ -277,12 +267,12 @@ pub fn goal_holds_budgeted(
 
 /// Enumerates all satisfying bindings of a single rule, invoking `emit`
 /// with the head predicate and the instantiated head tuple.
-fn fire_rule<M: Metering>(
+fn fire_rule(
     rule: &Rule,
     edb: &HashMap<&str, &Relation>,
     full: &HashMap<String, Relation>,
     delta_at: Option<(usize, &Relation)>,
-    meter: &mut M,
+    meter: &mut Meter,
     emit: &mut impl FnMut(&str, &[u32]),
 ) -> Result<(), ExhaustionReason> {
     let mut bindings: HashMap<&str, u32> = HashMap::new();
@@ -308,14 +298,14 @@ fn fire_rule<M: Metering>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn search<'r, M: Metering>(
+fn search<'r>(
     rule: &'r Rule,
     idx: usize,
     edb: &HashMap<&str, &Relation>,
     full: &HashMap<String, Relation>,
     delta_at: Option<(usize, &Relation)>,
     bindings: &mut HashMap<&'r str, u32>,
-    meter: &mut M,
+    meter: &mut Meter,
     found: &mut impl FnMut(&HashMap<&'r str, u32>),
 ) -> Result<(), ExhaustionReason> {
     if idx == rule.body.len() {

@@ -26,10 +26,7 @@ mod parser;
 pub mod programs;
 
 pub use ast::{Atom, Program, Rule, Term};
-pub use eval::{
-    evaluate, evaluate_budgeted, evaluate_metered, goal_holds, goal_holds_budgeted, EvalError,
-    Evaluation,
-};
+pub use eval::{evaluate, evaluate_metered, goal_holds, goal_holds_metered, EvalError, Evaluation};
 pub use parser::parse_program;
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use crate::graph::Graph;
 use crate::treewidth::{from_elimination_order, min_fill_order_metered, TreeDecomposition};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering, SharedMeter};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{RelId, Structure};
 use rayon::prelude::*;
@@ -66,24 +66,10 @@ pub fn solve_with_decomposition(
     b: &Structure,
     td: &TreeDecomposition,
 ) -> Result<Option<Vec<u32>>, String> {
-    let mut meter = Budget::unlimited().meter();
-    solve_with_decomposition_metered(a, b, td, &mut meter).map_err(|e| match e {
+    solve_with_decomposition_metered(a, b, td, &mut Meter::default(), false).map_err(|e| match e {
         DecompSolveError::Invalid(msg) => msg,
         DecompSolveError::Exhausted(_) => unreachable!("unlimited budget cannot exhaust"),
     })
-}
-
-/// [`solve_with_decomposition`] under a [`Budget`]: one step per bag
-/// assignment enumerated, one tuple charged per surviving table row, so
-/// both time and memory are governed.
-pub fn solve_with_decomposition_budgeted(
-    a: &Structure,
-    b: &Structure,
-    td: &TreeDecomposition,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, DecompSolveError> {
-    let mut meter = budget.meter();
-    solve_with_decomposition_metered(a, b, td, &mut meter)
 }
 
 /// The decomposition tree rooted at bag 0, plus each fact of **A**
@@ -149,13 +135,13 @@ fn dp_setup(a: &Structure, td: &TreeDecomposition) -> DpSetup {
 /// children's (final) tables. One step is ticked per assignment
 /// enumerated, one tuple charged per surviving row. This is the single
 /// DP kernel the sequential and parallel solvers share.
-fn compute_bag_table<M: Metering>(
+fn compute_bag_table(
     b: &Structure,
     td: &TreeDecomposition,
     setup: &DpSetup,
     node: usize,
     tables: &[Vec<Vec<u32>>],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<Vec<u32>>, ExhaustionReason> {
     let bag = &td.bags[node];
     // Pre-index child tables by the shared-variable projection:
@@ -234,12 +220,12 @@ fn compute_bag_table<M: Metering>(
 }
 
 /// Top-down witness extraction from the completed bag tables.
-fn extract_witness<M: Metering>(
+fn extract_witness(
     a: &Structure,
     td: &TreeDecomposition,
     setup: &DpSetup,
     tables: &[Vec<Vec<u32>>],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let n = a.domain_size();
     let nb = td.bags.len();
@@ -301,102 +287,82 @@ fn dp_precheck(
     Ok(None)
 }
 
-/// Emits the one-per-run [`TraceEvent::Decomposition`] summary shared
-/// by the sequential and parallel DP drivers.
-fn emit_decomposition<M: Metering>(td: &TreeDecomposition, meter: &mut M) {
+/// [`solve_with_decomposition`] under a [`Meter`]: one step per bag
+/// assignment enumerated, one tuple charged per surviving table row, so
+/// both time and memory are governed. The caller keeps the meter, so
+/// resource usage (and the tracer it carries) stays readable afterwards.
+/// Emits one [`TraceEvent::Decomposition`] summary and one
+/// [`TraceEvent::DpTable`] per bag table materialised.
+///
+/// With `parallel`, the tables are computed level by level: bag tables
+/// at the same depth depend only on tables one level deeper, so each
+/// level's bags run on [`rayon`] workers, each charging a clone of
+/// `meter`. The verdict and witness are identical either way.
+///
+/// # Errors
+///
+/// [`DecompSolveError::Invalid`] if the decomposition does not cover
+/// **A**, [`DecompSolveError::Exhausted`] if the budget ran out or was
+/// cancelled.
+pub fn solve_with_decomposition_metered(
+    a: &Structure,
+    b: &Structure,
+    td: &TreeDecomposition,
+    meter: &mut Meter,
+    parallel: bool,
+) -> Result<Option<Vec<u32>>, DecompSolveError> {
+    if let Some(verdict) = dp_precheck(a, b, td)? {
+        return Ok(verdict);
+    }
     meter.tracer().emit_with(|| TraceEvent::Decomposition {
         width: td.width(),
         bags: td.bags.len(),
         largest_bag: td.bags.iter().map(|b| b.len()).max().unwrap_or(0),
     });
-}
-
-/// [`solve_with_decomposition`] under any [`Metering`] enforcer: same
-/// contract as [`solve_with_decomposition_budgeted`], but the caller
-/// keeps the meter, so resource usage (and the tracer it carries) stays
-/// readable afterwards. Emits one [`TraceEvent::Decomposition`] summary
-/// and one [`TraceEvent::DpTable`] per bag table materialised.
-pub fn solve_with_decomposition_metered<M: Metering>(
-    a: &Structure,
-    b: &Structure,
-    td: &TreeDecomposition,
-    meter: &mut M,
-) -> Result<Option<Vec<u32>>, DecompSolveError> {
-    if let Some(verdict) = dp_precheck(a, b, td)? {
-        return Ok(verdict);
-    }
-    emit_decomposition(td, meter);
     let setup = dp_setup(a, td);
-    // Bottom-up: table of surviving bag assignments per node.
     let nb = td.bags.len();
     let mut tables: Vec<Vec<Vec<u32>>> = vec![Vec::new(); nb];
-    for &node in setup.order.iter().rev() {
-        tables[node] = compute_bag_table(b, td, &setup, node, &tables, meter)?;
-        if tables[node].is_empty() {
-            return Ok(None);
+    if parallel {
+        // Bottom-up, level by level (deepest first); bags within a
+        // level are independent and parallelise.
+        let max_depth = setup.depth.iter().copied().max().unwrap_or(0);
+        for level in (0..=max_depth).rev() {
+            let nodes: Vec<usize> = setup
+                .order
+                .iter()
+                .copied()
+                .filter(|&n| setup.depth[n] == level)
+                .collect();
+            let tables_ref = &tables;
+            let setup_ref = &setup;
+            let shared = &*meter;
+            let computed: Vec<(usize, Vec<Vec<u32>>)> = nodes
+                .into_par_iter()
+                .map(move |node| {
+                    let mut m = shared.clone();
+                    let table = compute_bag_table(b, td, setup_ref, node, tables_ref, &mut m)?;
+                    Ok((node, table))
+                })
+                .collect::<Result<_, ExhaustionReason>>()?;
+            let mut any_empty = false;
+            for (node, table) in computed {
+                any_empty |= table.is_empty();
+                tables[node] = table;
+            }
+            if any_empty {
+                return Ok(None);
+            }
+        }
+    } else {
+        // Bottom-up: table of surviving bag assignments per node.
+        for &node in setup.order.iter().rev() {
+            tables[node] = compute_bag_table(b, td, &setup, node, &tables, meter)?;
+            if tables[node].is_empty() {
+                return Ok(None);
+            }
         }
     }
     let witness = extract_witness(a, td, &setup, &tables, meter)?;
-    debug_assert!(cspdb_core::is_homomorphism(&witness, a, b));
-    Ok(Some(witness))
-}
-
-/// [`solve_with_decomposition_budgeted`] with independent subtrees
-/// computed in parallel under a thread-shared budget: bag tables at the
-/// same depth depend only on tables one level deeper, so each level's
-/// bags run on [`rayon`] workers charging the one [`SharedMeter`]. The
-/// verdict and witness are identical to the sequential DP's.
-///
-/// # Errors
-///
-/// [`DecompSolveError::Invalid`] if the decomposition does not cover
-/// **A**, [`DecompSolveError::Exhausted`] if the shared budget ran out
-/// or was cancelled.
-pub fn solve_with_decomposition_shared(
-    a: &Structure,
-    b: &Structure,
-    td: &TreeDecomposition,
-    meter: &SharedMeter,
-) -> Result<Option<Vec<u32>>, DecompSolveError> {
-    if let Some(verdict) = dp_precheck(a, b, td)? {
-        return Ok(verdict);
-    }
-    emit_decomposition(td, &mut meter.clone());
-    let setup = dp_setup(a, td);
-    let nb = td.bags.len();
-    let max_depth = setup.depth.iter().copied().max().unwrap_or(0);
-    let mut tables: Vec<Vec<Vec<u32>>> = vec![Vec::new(); nb];
-    // Bottom-up, level by level (deepest first); bags within a level are
-    // independent and parallelise.
-    for level in (0..=max_depth).rev() {
-        let nodes: Vec<usize> = setup
-            .order
-            .iter()
-            .copied()
-            .filter(|&n| setup.depth[n] == level)
-            .collect();
-        let tables_ref = &tables;
-        let setup_ref = &setup;
-        let computed: Vec<(usize, Vec<Vec<u32>>)> = nodes
-            .into_par_iter()
-            .map(move |node| {
-                let table =
-                    compute_bag_table(b, td, setup_ref, node, tables_ref, &mut meter.clone())?;
-                Ok((node, table))
-            })
-            .collect::<Result<_, ExhaustionReason>>()
-            .map_err(DecompSolveError::Exhausted)?;
-        let mut any_empty = false;
-        for (node, table) in computed {
-            any_empty |= table.is_empty();
-            tables[node] = table;
-        }
-        if any_empty {
-            return Ok(None);
-        }
-    }
-    let witness = extract_witness(a, td, &setup, &tables, &mut meter.clone())
-        .map_err(DecompSolveError::Exhausted)?;
     debug_assert!(cspdb_core::is_homomorphism(&witness, a, b));
     Ok(Some(witness))
 }
@@ -405,57 +371,25 @@ pub fn solve_with_decomposition_shared(
 /// pick a min-fill elimination order, and run the DP. Returns the
 /// decomposition width used and the result.
 pub fn solve_by_treewidth(a: &Structure, b: &Structure) -> (usize, Option<Vec<u32>>) {
-    solve_by_treewidth_budgeted(a, b, &Budget::unlimited())
+    solve_by_treewidth_metered(a, b, &mut Meter::default(), false)
         .expect("unlimited budget cannot exhaust")
 }
 
-/// [`solve_by_treewidth`] under a [`Budget`]. Planning (min-fill order)
+/// [`solve_by_treewidth`] under a [`Meter`]. Planning (min-fill order)
 /// and the DP itself draw from one meter, so the budget governs the
 /// whole pipeline — important because on large instances the quadratic
-/// min-fill pass alone can dwarf a small deadline.
-pub fn solve_by_treewidth_budgeted(
+/// min-fill pass alone can dwarf a small deadline. `parallel` selects
+/// the level-parallel DP of [`solve_with_decomposition_metered`].
+pub fn solve_by_treewidth_metered(
     a: &Structure,
     b: &Structure,
-    budget: &Budget,
-) -> Result<(usize, Option<Vec<u32>>), ExhaustionReason> {
-    solve_by_treewidth_metered(a, b, &mut budget.meter())
-}
-
-/// [`solve_by_treewidth`] under any [`Metering`] enforcer: same contract
-/// as [`solve_by_treewidth_budgeted`], but the caller keeps the meter,
-/// so resource usage (and the tracer it carries) stays readable
-/// afterwards.
-pub fn solve_by_treewidth_metered<M: Metering>(
-    a: &Structure,
-    b: &Structure,
-    meter: &mut M,
+    meter: &mut Meter,
+    parallel: bool,
 ) -> Result<(usize, Option<Vec<u32>>), ExhaustionReason> {
     let g = Graph::gaifman(a);
     let order = min_fill_order_metered(&g, meter)?;
     let td = from_elimination_order(&g, &order);
-    let res = match solve_with_decomposition_metered(a, b, &td, meter) {
-        Ok(res) => res,
-        Err(DecompSolveError::Exhausted(r)) => return Err(r),
-        Err(DecompSolveError::Invalid(msg)) => {
-            unreachable!("constructed decomposition is valid: {msg}")
-        }
-    };
-    Ok((td.width(), res))
-}
-
-/// [`solve_by_treewidth_budgeted`] with the DP parallelised per
-/// decomposition level under a thread-shared budget (see
-/// [`solve_with_decomposition_shared`]). Planning (min-fill order) and
-/// the DP draw from the same shared meter.
-pub fn solve_by_treewidth_shared(
-    a: &Structure,
-    b: &Structure,
-    meter: &SharedMeter,
-) -> Result<(usize, Option<Vec<u32>>), ExhaustionReason> {
-    let g = Graph::gaifman(a);
-    let order = min_fill_order_metered(&g, &mut meter.clone())?;
-    let td = from_elimination_order(&g, &order);
-    let res = match solve_with_decomposition_shared(a, b, &td, meter) {
+    let res = match solve_with_decomposition_metered(a, b, &td, meter, parallel) {
         Ok(res) => res,
         Err(DecompSolveError::Exhausted(r)) => return Err(r),
         Err(DecompSolveError::Invalid(msg)) => {
@@ -468,6 +402,7 @@ pub fn solve_by_treewidth_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cspdb_core::budget::Budget;
     use cspdb_core::graphs::{clique, cycle, path};
     use cspdb_core::is_homomorphism;
 
@@ -559,9 +494,9 @@ mod tests {
         ];
         for (a, b, expected) in cases {
             let (seq_w, seq_res) = solve_by_treewidth(&a, &b);
-            let meter = Budget::unlimited().shared_meter();
+            let mut meter = Budget::unlimited().meter();
             let (par_w, par_res) = pool
-                .install(|| solve_by_treewidth_shared(&a, &b, &meter))
+                .install(|| solve_by_treewidth_metered(&a, &b, &mut meter, true))
                 .unwrap();
             assert_eq!(par_w, seq_w);
             assert_eq!(par_res.is_some(), expected, "on {a}");
@@ -578,9 +513,9 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let meter = Budget::unlimited().with_step_limit(10).shared_meter();
+        let mut meter = Budget::unlimited().with_step_limit(10).meter();
         assert_eq!(
-            pool.install(|| solve_by_treewidth_shared(&a, &b, &meter)),
+            pool.install(|| solve_by_treewidth_metered(&a, &b, &mut meter, true)),
             Err(ExhaustionReason::StepLimitExceeded)
         );
     }

@@ -15,7 +15,7 @@
 //! checks independently.
 
 use crate::graph::Graph;
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, SharedMeter};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::Structure;
 use std::collections::{BTreeSet, HashSet};
 
@@ -231,33 +231,16 @@ pub fn min_degree_order(g: &Graph) -> Vec<u32> {
 /// Min-fill elimination order heuristic (number of missing edges among
 /// current neighbors).
 pub fn min_fill_order(g: &Graph) -> Vec<u32> {
-    min_fill_order_budgeted(g, &Budget::unlimited()).expect("unlimited budget cannot exhaust")
+    min_fill_order_metered(g, &mut Meter::default()).expect("unlimited budget cannot exhaust")
 }
 
-/// [`min_fill_order`] under a [`Budget`]: even *planning* a
-/// decomposition is quadratic-plus in the vertex count, so tiered
-/// strategies budget it like any other phase. One step is ticked per
-/// candidate score evaluation.
-pub fn min_fill_order_budgeted(g: &Graph, budget: &Budget) -> Result<Vec<u32>, ExhaustionReason> {
-    let mut meter = budget.meter();
-    min_fill_order_metered(g, &mut meter)
-}
-
-/// [`min_fill_order`] charging a thread-shared [`SharedMeter`]: used
-/// when decomposition planning runs inside a parallel portfolio under
-/// one global budget.
-pub fn min_fill_order_shared(g: &Graph, meter: &SharedMeter) -> Result<Vec<u32>, ExhaustionReason> {
-    min_fill_order_metered(g, &mut meter.clone())
-}
-
-/// Generic-meter core of [`min_fill_order_budgeted`]: charges the
-/// supplied [`Metering`] implementation instead of owning a fresh meter,
-/// so callers can pool planning with downstream DP on one budget slice.
-pub fn min_fill_order_metered<M: Metering>(
-    g: &Graph,
-    meter: &mut M,
-) -> Result<Vec<u32>, ExhaustionReason> {
-    elimination_heuristic_budgeted(g, meter, fill_score)
+/// [`min_fill_order`] under a [`Meter`]: even *planning* a decomposition
+/// is quadratic-plus in the vertex count, so tiered strategies budget it
+/// like any other phase. One step is ticked per candidate score
+/// evaluation; callers can pool planning with downstream DP on one
+/// meter.
+pub fn min_fill_order_metered(g: &Graph, meter: &mut Meter) -> Result<Vec<u32>, ExhaustionReason> {
+    elimination_heuristic_metered(g, meter, fill_score)
 }
 
 /// Min-fill score: missing edges among the current neighbors of `v`.
@@ -275,13 +258,13 @@ fn fill_score(adj: &[BTreeSet<u32>], v: u32) -> usize {
 }
 
 fn elimination_heuristic(g: &Graph, score: impl Fn(&[BTreeSet<u32>], u32) -> usize) -> Vec<u32> {
-    elimination_heuristic_budgeted(g, &mut Budget::unlimited().meter(), score)
+    elimination_heuristic_metered(g, &mut Meter::default(), score)
         .expect("unlimited budget cannot exhaust")
 }
 
-fn elimination_heuristic_budgeted<M: Metering>(
+fn elimination_heuristic_metered(
     g: &Graph,
-    meter: &mut M,
+    meter: &mut Meter,
     score: impl Fn(&[BTreeSet<u32>], u32) -> usize,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let n = g.num_vertices();
@@ -337,20 +320,19 @@ pub fn order_width(g: &Graph, order: &[u32]) -> usize {
 /// Heuristic treewidth upper bound: the better of min-degree and
 /// min-fill, returned with its decomposition.
 pub fn heuristic_decomposition(g: &Graph) -> TreeDecomposition {
-    heuristic_decomposition_budgeted(g, &Budget::unlimited())
+    heuristic_decomposition_metered(g, &mut Meter::default())
         .expect("unlimited budget cannot exhaust")
 }
 
-/// [`heuristic_decomposition`] under a [`Budget`]. Both elimination
+/// [`heuristic_decomposition`] under a [`Meter`]. Both elimination
 /// heuristics draw from the same meter, so the budget bounds the whole
 /// planning phase rather than each heuristic separately.
-pub fn heuristic_decomposition_budgeted(
+pub fn heuristic_decomposition_metered(
     g: &Graph,
-    budget: &Budget,
+    meter: &mut Meter,
 ) -> Result<TreeDecomposition, ExhaustionReason> {
-    let mut meter = budget.meter();
-    let o1 = elimination_heuristic_budgeted(g, &mut meter, |adj, v| adj[v as usize].len())?;
-    let o2 = elimination_heuristic_budgeted(g, &mut meter, fill_score)?;
+    let o1 = elimination_heuristic_metered(g, meter, |adj, v| adj[v as usize].len())?;
+    let o2 = elimination_heuristic_metered(g, meter, fill_score)?;
     let order = if order_width(g, &o1) <= order_width(g, &o2) {
         o1
     } else {
@@ -369,10 +351,10 @@ pub fn heuristic_decomposition_budgeted(
 ///
 /// Panics if the graph has more than 64 vertices.
 pub fn exact_treewidth(g: &Graph) -> (usize, Vec<u32>) {
-    exact_treewidth_budgeted(g, &Budget::unlimited()).expect("unlimited budget cannot exhaust")
+    exact_treewidth_metered(g, &mut Meter::default()).expect("unlimited budget cannot exhaust")
 }
 
-/// [`exact_treewidth`] under a [`Budget`]: the branch-and-bound over
+/// [`exact_treewidth`] under a [`Meter`]: the branch-and-bound over
 /// elimination orders is worst-case exponential, so one step is ticked
 /// per candidate elimination attempt and the deadline is honored at
 /// amortized checkpoints. `Err` means inconclusive — no bound on the
@@ -381,24 +363,23 @@ pub fn exact_treewidth(g: &Graph) -> (usize, Vec<u32>) {
 /// # Panics
 ///
 /// Panics if the graph has more than 64 vertices.
-pub fn exact_treewidth_budgeted(
+pub fn exact_treewidth_metered(
     g: &Graph,
-    budget: &Budget,
+    meter: &mut Meter,
 ) -> Result<(usize, Vec<u32>), ExhaustionReason> {
     let n = g.num_vertices();
     assert!(n <= 64, "exact treewidth limited to 64 vertices");
     if n == 0 {
         return Ok((0, vec![]));
     }
-    let mut meter = budget.meter();
-    let ub_order = elimination_heuristic_budgeted(g, &mut meter, fill_score)?;
+    let ub_order = elimination_heuristic_metered(g, meter, fill_score)?;
     let ub = order_width(g, &ub_order);
     // Lower bound: maximum over subgraph minimum degrees (degeneracy).
     let lb = degeneracy(g);
     for k in lb..=ub {
         let mut failed: HashSet<u64> = HashSet::new();
         let mut order = Vec::with_capacity(n);
-        if feasible(g, k, 0u64, &mut order, &mut failed, &mut meter)? {
+        if feasible(g, k, 0u64, &mut order, &mut failed, meter)? {
             return Ok((k, order));
         }
     }

@@ -12,7 +12,7 @@ use crate::delta::{Delta, DeltaOp, IvmError, Refresh};
 use crate::join::{for_each_valuation, BodyAtom, Tm};
 use cspdb_core::budget::Meter;
 use cspdb_core::{Budget, Relation, Structure, TraceEvent};
-use cspdb_datalog::{evaluate_budgeted, EvalError, Program, Term};
+use cspdb_datalog::{evaluate_metered, EvalError, Program, Term};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A rule with names resolved to per-rule variable slots.
@@ -94,7 +94,7 @@ impl DatalogView {
         edb: &Structure,
         budget: &Budget,
     ) -> Result<Self, IvmError> {
-        let eval = evaluate_budgeted(program, edb, budget).map_err(|e| match e {
+        let eval = evaluate_metered(program, edb, &mut budget.meter()).map_err(|e| match e {
             EvalError::Invalid(m) => IvmError::Invalid(m),
             EvalError::Exhausted(r) => IvmError::Exhausted(r),
         })?;

@@ -8,7 +8,7 @@ use crate::delta::{Delta, IvmError, Refresh};
 use crate::rpq_view::RpqView;
 use cspdb_core::{Budget, Relation, Structure};
 use cspdb_cq::{evaluate_by_join_budgeted, ConjunctiveQuery};
-use cspdb_datalog::{evaluate_budgeted, EvalError, Program};
+use cspdb_datalog::{evaluate_metered, EvalError, Program};
 use cspdb_rpq::{Regex, View};
 use std::collections::HashMap;
 
@@ -75,10 +75,13 @@ impl MaterializedView {
             MaterializedView::Cq(v) => evaluate_by_join_budgeted(v.query(), db, budget)
                 .map_err(|e| IvmError::Invalid(e.to_string()))?,
             MaterializedView::Datalog(v) => {
-                let eval = evaluate_budgeted(v.program(), db, budget).map_err(|e| match e {
-                    EvalError::Invalid(m) => IvmError::Invalid(m),
-                    EvalError::Exhausted(r) => IvmError::Exhausted(r),
-                })?;
+                let eval =
+                    evaluate_metered(v.program(), db, &mut budget.meter()).map_err(
+                        |e| match e {
+                            EvalError::Invalid(m) => IvmError::Invalid(m),
+                            EvalError::Exhausted(r) => IvmError::Exhausted(r),
+                        },
+                    )?;
                 eval.relations
                     .get(&v.program().goal)
                     .cloned()

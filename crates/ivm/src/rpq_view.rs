@@ -5,7 +5,7 @@
 //! independent of the view *extensions*. A materialized [`RpqView`]
 //! builds the template once at registration; each delta to a view
 //! extension re-solves only the polynomial CSP side
-//! ([`CertainAnswering::certain_answers_budgeted`]) against the
+//! ([`CertainAnswering::certain_answers_metered`]) against the
 //! prebuilt template.
 
 use crate::delta::{Delta, DeltaOp, IvmError, Refresh};
@@ -45,7 +45,7 @@ impl RpqView {
         let exts = Self::extensions(views, db)?;
         let answering = CertainAnswering::new(query, views, alphabet);
         let pairs = answering
-            .certain_answers_budgeted(&exts, budget)
+            .certain_answers_metered(&exts, &mut budget.meter())
             .map_err(IvmError::Exhausted)?;
         let answers = Self::pairs_to_relation(&name, &pairs)?;
         Ok(RpqView {
@@ -104,7 +104,7 @@ impl RpqView {
         let exts = Self::extensions(&self.views, db)?;
         let pairs = self
             .answering
-            .certain_answers_budgeted(&exts, budget)
+            .certain_answers_metered(&exts, &mut budget.meter())
             .map_err(IvmError::Exhausted)?;
         Self::pairs_to_relation(&self.name, &pairs)
     }
@@ -130,7 +130,7 @@ impl RpqView {
         let exts = Self::extensions(&self.views, post)?;
         let pairs = self
             .answering
-            .certain_answers_budgeted(&exts, budget)
+            .certain_answers_metered(&exts, &mut budget.meter())
             .map_err(IvmError::Exhausted)?;
         let fresh = Self::pairs_to_relation(&self.name, &pairs)?;
         let added = fresh.iter().filter(|t| !self.answers.contains(t)).count() as u64;

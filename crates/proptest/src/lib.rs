@@ -6,7 +6,7 @@
 //! * the [`proptest!`] macro (with `#![proptest_config(...)]` support),
 //! * [`prop_assert!`] / [`prop_assert_eq!`],
 //! * range and tuple strategies, `prop::collection::vec`,
-//!   [`Strategy::prop_map`], and `any::<T>()` for a few primitives.
+//!   [`Strategy::prop_map`](strategy::Strategy::prop_map), and `any::<T>()` for a few primitives.
 //!
 //! Failing cases are reported with their case index and the fixed
 //! per-test seed so runs are reproducible; there is **no shrinking** —
@@ -230,7 +230,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<E> {
         element: E,
         size: SizeRange,

@@ -35,9 +35,8 @@ mod wcoj;
 mod yannakakis;
 
 pub use join_eval::{
-    constraint_relations, count_by_join, join_all, join_all_budgeted, join_all_metered,
-    join_all_parallel, join_all_size_ordered, join_all_size_ordered_metered, solve_by_join,
-    solve_by_join_budgeted, solve_by_join_parallel,
+    constraint_relations, count_by_join, join_all, join_all_metered, join_all_size_ordered,
+    solve_by_join, solve_by_join_metered,
 };
 pub use named::NamedRelation;
 pub use planner::{
@@ -48,7 +47,6 @@ pub use wcoj::{
     wcoj_join_metered, wcoj_join_with_order, EngineChoice,
 };
 pub use yannakakis::{
-    is_acyclic_instance, solve_acyclic, solve_acyclic_budgeted, solve_acyclic_hom,
-    solve_acyclic_metered, solve_acyclic_shared, solve_with_hypertree, AcyclicSolveError,
-    NotAcyclic,
+    is_acyclic_instance, solve_acyclic, solve_acyclic_hom, solve_acyclic_metered,
+    solve_with_hypertree, AcyclicSolveError, NotAcyclic,
 };

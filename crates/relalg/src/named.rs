@@ -8,7 +8,7 @@
 //! attribute ids.
 
 use crate::planner::HashIndex;
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, SharedMeter};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -70,12 +70,12 @@ impl JoinPlan {
 /// so partition joins are distinguishable); its `output_rows` equals
 /// the tuples charged, which the trace-accounting property test relies
 /// on.
-fn join_rows<M: Metering>(
+fn join_rows(
     left: &[Vec<u32>],
     right: &[Vec<u32>],
     plan: &JoinPlan,
     kind: OperatorKind,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<Vec<u32>>, ExhaustionReason> {
     let span = meter.tracer().span_start();
     let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
@@ -200,15 +200,14 @@ impl NamedRelation {
         (self.rows.len() as u64).checked_mul(other.rows.len() as u64)
     }
 
-    /// [`natural_join`](Self::natural_join) under any [`Metering`]
-    /// enforcer: every output row is charged against the tuple cap *as
-    /// it is produced*, so a join whose intermediate result would blow
-    /// the cap aborts mid-materialisation instead of exhausting memory
-    /// first.
-    pub fn natural_join_metered<M: Metering>(
+    /// [`natural_join`](Self::natural_join) under a [`Meter`]: every
+    /// output row is charged against the tuple cap *as it is produced*,
+    /// so a join whose intermediate result would blow the cap aborts
+    /// mid-materialisation instead of exhausting memory first.
+    pub fn natural_join_metered(
         &self,
         other: &NamedRelation,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let plan = JoinPlan::new(self, other);
         let rows = join_rows(
@@ -221,21 +220,11 @@ impl NamedRelation {
         Ok(NamedRelation::new(plan.schema, rows))
     }
 
-    /// [`natural_join_metered`](Self::natural_join_metered) fixed to the
-    /// single-threaded [`Meter`] (the pre-existing budgeted entry point).
-    pub fn natural_join_budgeted(
-        &self,
-        other: &NamedRelation,
-        meter: &mut Meter,
-    ) -> Result<NamedRelation, ExhaustionReason> {
-        self.natural_join_metered(other, meter)
-    }
-
     /// Natural join: rows that agree on all common attributes are glued;
     /// with disjoint schemas this is the cartesian product; with equal
     /// schemas it is intersection.
     pub fn natural_join(&self, other: &NamedRelation) -> NamedRelation {
-        self.natural_join_metered(other, &mut Budget::unlimited().meter())
+        self.natural_join_metered(other, &mut Meter::default())
             .expect("unlimited budget cannot exhaust")
     }
 
@@ -251,11 +240,11 @@ impl NamedRelation {
     ///
     /// Panics if the index key is not the common attribute set, or the
     /// index row count does not match `other`.
-    pub fn natural_join_with_index<M: Metering>(
+    pub fn natural_join_with_index(
         &self,
         other: &NamedRelation,
         index: &HashIndex,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let plan = JoinPlan::new(self, other);
         assert_eq!(
@@ -295,11 +284,11 @@ impl NamedRelation {
         Ok(NamedRelation::new(plan.schema, rows))
     }
 
-    /// Partitioned parallel natural join under a thread-shared budget.
+    /// Partitioned parallel natural join under one budget.
     ///
     /// Both sides are hash-partitioned on the join key with a fixed
     /// (process-independent) hash; partition pairs are joined on
-    /// [`rayon`] workers, each charging the one [`SharedMeter`]; and the
+    /// [`rayon`] workers, each charging its own clone of `meter`; and the
     /// per-partition results are concatenated in partition-index order
     /// before canonicalisation, so the result is **identical** to
     /// [`natural_join`](Self::natural_join). Disjoint schemas (a pure
@@ -311,11 +300,11 @@ impl NamedRelation {
     pub fn natural_join_parallel(
         &self,
         other: &NamedRelation,
-        meter: &SharedMeter,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let threads = rayon::current_num_threads();
         if threads <= 1 || self.rows.len() + other.rows.len() < PARALLEL_JOIN_MIN_ROWS {
-            return self.natural_join_metered(other, &mut meter.clone());
+            return self.natural_join_metered(other, meter);
         }
         let plan = JoinPlan::new(self, other);
         if plan.common.is_empty() {
@@ -324,7 +313,7 @@ impl NamedRelation {
             // work while the workers idle. The planner only emits such
             // joins as explicit cross products; run them on the
             // sequential kernel.
-            return self.natural_join_metered(other, &mut meter.clone());
+            return self.natural_join_metered(other, meter);
         }
         let results: Result<Vec<Vec<Vec<u32>>>, ExhaustionReason> = {
             // Hash-partition both sides on the join key; joining
@@ -333,19 +322,17 @@ impl NamedRelation {
             let parts = threads * 4;
             let mut left: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
             let mut right: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
-            {
-                let m = meter.clone();
-                for row in &self.rows {
-                    m.tick()?;
-                    let h = key_hash(plan.common.iter().map(|&(i, _)| row[i]));
-                    left[(h % parts as u64) as usize].push(row.clone());
-                }
-                for row in &other.rows {
-                    m.tick()?;
-                    let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
-                    right[(h % parts as u64) as usize].push(row.clone());
-                }
+            for row in &self.rows {
+                meter.tick()?;
+                let h = key_hash(plan.common.iter().map(|&(i, _)| row[i]));
+                left[(h % parts as u64) as usize].push(row.clone());
             }
+            for row in &other.rows {
+                meter.tick()?;
+                let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
+                right[(h % parts as u64) as usize].push(row.clone());
+            }
+            let meter = &*meter;
             (0..parts)
                 .into_par_iter()
                 .map(|p| {
@@ -363,18 +350,18 @@ impl NamedRelation {
         Ok(NamedRelation::new(plan.schema, rows))
     }
 
-    /// Semijoin `self ⋉ other` under any [`Metering`] enforcer: one tick
+    /// Semijoin `self ⋉ other` under a [`Meter`]: one tick
     /// per input row scanned on either side, one tuple charged per
     /// surviving row — so a tuple cap bounds the peak size a reducer
     /// sweep can carry, and a deadline is observed *inside* large
     /// semijoins instead of only between them.
-    pub fn semijoin_metered<M: Metering>(
+    pub fn semijoin_metered(
         &self,
         other: &NamedRelation,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let span = meter.tracer().span_start();
-        let emit = |meter: &mut M, out: u64, span| {
+        let emit = |meter: &mut Meter, out: u64, span| {
             meter.tracer().emit_with(|| TraceEvent::Operator {
                 op: OperatorKind::Semijoin,
                 left_rows: self.rows.len() as u64,
@@ -435,10 +422,10 @@ impl NamedRelation {
     ///
     /// Panics if an index key attribute is missing from `self`'s schema
     /// (callers handle the disjoint-schema case before indexing).
-    pub fn semijoin_with_index<M: Metering>(
+    pub fn semijoin_with_index(
         &self,
         index: &HashIndex,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         assert!(
             !index.key_attrs().is_empty(),
@@ -472,20 +459,10 @@ impl NamedRelation {
         })
     }
 
-    /// [`semijoin_metered`](Self::semijoin_metered) fixed to the
-    /// single-threaded [`Meter`].
-    pub fn semijoin_budgeted(
-        &self,
-        other: &NamedRelation,
-        meter: &mut Meter,
-    ) -> Result<NamedRelation, ExhaustionReason> {
-        self.semijoin_metered(other, meter)
-    }
-
     /// Semijoin `self ⋉ other`: rows of `self` that join with at least
     /// one row of `other`.
     pub fn semijoin(&self, other: &NamedRelation) -> NamedRelation {
-        self.semijoin_metered(other, &mut Budget::unlimited().meter())
+        self.semijoin_metered(other, &mut Meter::default())
             .expect("unlimited budget cannot exhaust")
     }
 
@@ -567,6 +544,7 @@ impl fmt::Display for NamedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cspdb_core::budget::Budget;
 
     fn rel(schema: &[u32], rows: &[&[u32]]) -> NamedRelation {
         NamedRelation::new(schema.to_vec(), rows.iter().map(|r| r.to_vec()))
@@ -668,7 +646,7 @@ mod tests {
         let r = random_rel(&[0, 1], 300, 20, 7);
         let s = random_rel(&[1, 2], 300, 20, 11);
         let mut meter = Budget::unlimited().meter();
-        let budgeted = r.natural_join_budgeted(&s, &mut meter).unwrap();
+        let budgeted = r.natural_join_metered(&s, &mut meter).unwrap();
         assert_eq!(budgeted, r.natural_join(&s));
     }
 
@@ -682,9 +660,9 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let meter = Budget::unlimited().shared_meter();
+            let mut meter = Budget::unlimited().meter();
             let got = pool
-                .install(|| r.natural_join_parallel(&s, &meter))
+                .install(|| r.natural_join_parallel(&s, &mut meter))
                 .unwrap();
             assert_eq!(got, expected, "mismatch at {threads} threads");
         }
@@ -699,9 +677,9 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let meter = Budget::unlimited().shared_meter();
+        let mut meter = Budget::unlimited().meter();
         let got = pool
-            .install(|| r.natural_join_parallel(&s, &meter))
+            .install(|| r.natural_join_parallel(&s, &mut meter))
             .unwrap();
         assert_eq!(got, expected);
     }
@@ -714,9 +692,9 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let meter = Budget::unlimited().with_tuple_limit(100).shared_meter();
+        let mut meter = Budget::unlimited().with_tuple_limit(100).meter();
         let err = pool
-            .install(|| r.natural_join_parallel(&s, &meter))
+            .install(|| r.natural_join_parallel(&s, &mut meter))
             .unwrap_err();
         assert_eq!(err, ExhaustionReason::TupleLimitExceeded);
     }
@@ -753,11 +731,11 @@ mod tests {
         let r = random_rel(&[0, 1], 500, 5, 29);
         let s = random_rel(&[1, 2], 500, 5, 31);
         let mut meter = Budget::unlimited().meter();
-        assert_eq!(r.semijoin_budgeted(&s, &mut meter).unwrap(), r.semijoin(&s));
+        assert_eq!(r.semijoin_metered(&s, &mut meter).unwrap(), r.semijoin(&s));
         // With dense keys nearly every row survives; a tiny cap trips.
         let mut capped = Budget::unlimited().with_tuple_limit(10).meter();
         assert_eq!(
-            r.semijoin_budgeted(&s, &mut capped).unwrap_err(),
+            r.semijoin_metered(&s, &mut capped).unwrap_err(),
             ExhaustionReason::TupleLimitExceeded
         );
     }
@@ -769,12 +747,12 @@ mod tests {
         // charged as tuples, so a zero cap trips.
         let nonempty = rel(&[5], &[&[0]]);
         let mut meter = Budget::unlimited().meter();
-        assert_eq!(r.semijoin_budgeted(&nonempty, &mut meter).unwrap(), r);
+        assert_eq!(r.semijoin_metered(&nonempty, &mut meter).unwrap(), r);
         let empty = NamedRelation::empty(vec![5]);
-        assert!(r.semijoin_budgeted(&empty, &mut meter).unwrap().is_empty());
+        assert!(r.semijoin_metered(&empty, &mut meter).unwrap().is_empty());
         let mut capped = Budget::unlimited().with_tuple_limit(1).meter();
         assert_eq!(
-            r.semijoin_budgeted(&nonempty, &mut capped).unwrap_err(),
+            r.semijoin_metered(&nonempty, &mut capped).unwrap_err(),
             ExhaustionReason::TupleLimitExceeded
         );
     }

@@ -16,7 +16,7 @@
 
 use crate::named::NamedRelation;
 use crate::planner::{common_attrs, IndexCache, INDEX_CACHE_CAPACITY};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering, SharedMeter};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{CspInstance, Structure};
 use cspdb_decomp::{Hypergraph, HypertreeDecomposition};
@@ -34,7 +34,7 @@ impl std::fmt::Display for NotAcyclic {
 
 impl std::error::Error for NotAcyclic {}
 
-/// Why [`solve_acyclic_budgeted`] produced no verdict.
+/// Why [`solve_acyclic_metered`] produced no verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcyclicSolveError {
     /// The constraint hypergraph failed GYO — the algorithm does not
@@ -65,7 +65,7 @@ fn solve_along_forest(
     parent: &[Option<usize>],
     num_vars: usize,
 ) -> Option<Vec<u32>> {
-    solve_along_forest_metered(rels, parent, num_vars, &mut Budget::unlimited().meter())
+    solve_along_forest_metered(rels, parent, num_vars, &mut Meter::default())
         .expect("unlimited budget cannot exhaust")
 }
 
@@ -114,11 +114,11 @@ impl Forest {
 /// Greedy witness assembly, top-down: after full reduction every tuple
 /// extends to a solution, so picking any row consistent with the parent
 /// works.
-fn assemble_witness<M: Metering>(
+fn assemble_witness(
     rels: &[NamedRelation],
     order: &[usize],
     num_vars: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let mut assignment: Vec<Option<u32>> = vec![None; num_vars];
     for &node in order {
@@ -155,11 +155,11 @@ fn assemble_witness<M: Metering>(
 /// entries), so in the top-down sweep all children of one parent probe
 /// a single shared index instead of each rebuilding the parent's key
 /// set — on a star join tree that is one build instead of one per leaf.
-fn solve_along_forest_metered<M: Metering>(
+fn solve_along_forest_metered(
     mut rels: Vec<NamedRelation>,
     parent: &[Option<usize>],
     num_vars: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<u32>>, ExhaustionReason> {
     debug_assert_eq!(parent.len(), rels.len());
     let forest = Forest::new(parent);
@@ -173,7 +173,7 @@ fn solve_along_forest_metered<M: Metering>(
                   cache: &mut IndexCache,
                   target: usize,
                   filter: usize,
-                  meter: &mut M|
+                  meter: &mut Meter|
      -> Result<(), ExhaustionReason> {
         let common = common_attrs(&rels[target], &rels[filter]);
         let reduced = if common.is_empty() {
@@ -236,9 +236,9 @@ fn solve_along_forest_metered<M: Metering>(
     )?))
 }
 
-/// Parallel full reducer under a thread-shared budget: each sweep is run
-/// level by level (by join-tree depth), and all semijoins within a level
-/// execute on [`rayon`] workers charging the one [`SharedMeter`].
+/// Parallel full reducer under one budget: each sweep is run level by
+/// level (by join-tree depth), and all semijoins within a level execute
+/// on [`rayon`] workers, each charging its own clone of `meter`.
 ///
 /// Correctness: semijoin is a filter, so reducing a parent by its
 /// children is order-independent; bottom-up, the parents updated at one
@@ -246,14 +246,15 @@ fn solve_along_forest_metered<M: Metering>(
 /// final; top-down, the nodes updated at one level are distinct and read
 /// only their (already final) parents. Hence the result is identical to
 /// the sequential reducer.
-fn solve_along_forest_shared(
+fn solve_along_forest_parallel(
     mut rels: Vec<NamedRelation>,
     parent: &[Option<usize>],
     num_vars: usize,
-    meter: &SharedMeter,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<u32>>, ExhaustionReason> {
     debug_assert_eq!(parent.len(), rels.len());
     let forest = Forest::new(parent);
+    let shared = &*meter;
     let max_depth = forest.depth.iter().copied().max().unwrap_or(0);
     // Bottom-up: at each level (deepest first), every parent with
     // children folds them in, in parallel across parents.
@@ -274,7 +275,7 @@ fn solve_along_forest_shared(
         let reduced: Vec<(usize, NamedRelation)> = parents
             .into_par_iter()
             .map(move |p| {
-                let mut m = meter.clone();
+                let mut m = shared.clone();
                 m.tick()?;
                 let mut r = rels_ref[p].clone();
                 for &c in &forest_ref.children[p] {
@@ -309,7 +310,7 @@ fn solve_along_forest_shared(
         let reduced: Vec<(usize, NamedRelation)> = nodes
             .into_par_iter()
             .map(move |n| {
-                let mut m = meter.clone();
+                let mut m = shared.clone();
                 m.tick()?;
                 let p = parent[n].expect("depth > 0 implies a parent");
                 Ok((n, rels_ref[n].semijoin_metered(&rels_ref[p], &mut m)?))
@@ -340,7 +341,7 @@ fn solve_along_forest_shared(
         &rels,
         &forest.order,
         num_vars,
-        &mut meter.clone(),
+        meter,
     )?))
 }
 
@@ -351,89 +352,34 @@ fn solve_along_forest_shared(
 ///
 /// Returns [`NotAcyclic`] if the constraint hypergraph fails GYO.
 pub fn solve_acyclic(instance: &CspInstance) -> Result<Option<Vec<u32>>, NotAcyclic> {
-    if instance.num_vars() > 0 && instance.num_values() == 0 {
-        return Ok(None);
+    match solve_acyclic_metered(instance, &mut Meter::default(), false) {
+        Ok(sol) => Ok(sol),
+        Err(AcyclicSolveError::NotAcyclic) => Err(NotAcyclic),
+        Err(AcyclicSolveError::Exhausted(_)) => unreachable!("unlimited budget cannot exhaust"),
     }
-    let normalized = instance.normalize_distinct().consolidate();
-    let rels: Vec<NamedRelation> = normalized
-        .constraints()
-        .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
-        .collect();
-    let mut hg = Hypergraph::new(normalized.num_vars());
-    for r in &rels {
-        hg.add_edge(r.schema().iter().copied());
-    }
-    let jt = hg.gyo().ok_or(NotAcyclic)?;
-    let sol = solve_along_forest(rels, &jt.parent, normalized.num_vars());
-    if let Some(ref s) = sol {
-        debug_assert!(instance.is_solution(s));
-    }
-    Ok(sol)
 }
 
-/// [`solve_acyclic`] under a [`Budget`]: semijoin sweeps tick the meter
-/// and surviving rows are charged against the tuple cap.
+/// [`solve_acyclic`] under a [`Meter`]: semijoin sweeps tick the meter
+/// and surviving rows are charged against the tuple cap. The caller
+/// keeps the meter, so per-phase resource usage stays readable
+/// afterwards (the governed ladder's per-tier trace summaries rely on
+/// this).
+///
+/// With `parallel`, the full reducer runs level by level over the join
+/// tree and all semijoins at one depth run on [`rayon`] workers, each
+/// charging a clone of `meter`, so a step/tuple cap, deadline, or
+/// cancellation is enforced globally across workers. The verdict and
+/// witness are identical either way.
 ///
 /// # Errors
 ///
 /// [`AcyclicSolveError::NotAcyclic`] if GYO fails,
-/// [`AcyclicSolveError::Exhausted`] if the budget ran out (inconclusive).
-pub fn solve_acyclic_budgeted(
-    instance: &CspInstance,
-    budget: &Budget,
-) -> Result<Option<Vec<u32>>, AcyclicSolveError> {
-    solve_acyclic_metered(instance, &mut budget.meter())
-}
-
-/// [`solve_acyclic`] under any [`Metering`] enforcer: the caller keeps
-/// the meter, so per-phase resource usage stays readable afterwards
-/// (the governed ladder's per-tier trace summaries rely on this).
-///
-/// # Errors
-///
-/// [`AcyclicSolveError::NotAcyclic`] if GYO fails,
-/// [`AcyclicSolveError::Exhausted`] if the budget ran out (inconclusive).
-pub fn solve_acyclic_metered<M: Metering>(
-    instance: &CspInstance,
-    meter: &mut M,
-) -> Result<Option<Vec<u32>>, AcyclicSolveError> {
-    if instance.num_vars() > 0 && instance.num_values() == 0 {
-        return Ok(None);
-    }
-    let normalized = instance.normalize_distinct().consolidate();
-    let rels: Vec<NamedRelation> = normalized
-        .constraints()
-        .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
-        .collect();
-    let mut hg = Hypergraph::new(normalized.num_vars());
-    for r in &rels {
-        hg.add_edge(r.schema().iter().copied());
-    }
-    let jt = hg.gyo().ok_or(AcyclicSolveError::NotAcyclic)?;
-    let sol = solve_along_forest_metered(rels, &jt.parent, normalized.num_vars(), meter)
-        .map_err(AcyclicSolveError::Exhausted)?;
-    if let Some(ref s) = sol {
-        debug_assert!(instance.is_solution(s));
-    }
-    Ok(sol)
-}
-
-/// [`solve_acyclic`] with the full reducer parallelised per join-tree
-/// level under a thread-shared budget: all semijoins at one depth run on
-/// [`rayon`] workers charging the one [`SharedMeter`], so a step/tuple
-/// cap, deadline, or cancellation is enforced globally across workers.
-/// The verdict and witness are identical to [`solve_acyclic_budgeted`]'s.
-///
-/// # Errors
-///
-/// [`AcyclicSolveError::NotAcyclic`] if GYO fails,
-/// [`AcyclicSolveError::Exhausted`] if the shared budget ran out or was
+/// [`AcyclicSolveError::Exhausted`] if the budget ran out or was
 /// cancelled (inconclusive).
-pub fn solve_acyclic_shared(
+pub fn solve_acyclic_metered(
     instance: &CspInstance,
-    meter: &SharedMeter,
+    meter: &mut Meter,
+    parallel: bool,
 ) -> Result<Option<Vec<u32>>, AcyclicSolveError> {
     if instance.num_vars() > 0 && instance.num_values() == 0 {
         return Ok(None);
@@ -449,7 +395,12 @@ pub fn solve_acyclic_shared(
         hg.add_edge(r.schema().iter().copied());
     }
     let jt = hg.gyo().ok_or(AcyclicSolveError::NotAcyclic)?;
-    let sol = solve_along_forest_shared(rels, &jt.parent, normalized.num_vars(), meter)
+    let sweep = if parallel {
+        solve_along_forest_parallel
+    } else {
+        solve_along_forest_metered
+    };
+    let sol = sweep(rels, &jt.parent, normalized.num_vars(), meter)
         .map_err(AcyclicSolveError::Exhausted)?;
     if let Some(ref s) = sol {
         debug_assert!(instance.is_solution(s));
@@ -569,6 +520,7 @@ pub fn solve_with_hypertree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cspdb_core::budget::Budget;
     use cspdb_core::graphs::{clique, cycle, directed_path};
     use cspdb_core::Relation;
     use std::sync::Arc;
@@ -735,13 +687,13 @@ mod tests {
         let p = wide_star(6, 60);
         let budget = Budget::unlimited().with_tuple_limit(100);
         assert_eq!(
-            solve_acyclic_budgeted(&p, &budget),
+            solve_acyclic_metered(&p, &mut budget.meter(), false),
             Err(AcyclicSolveError::Exhausted(
                 ExhaustionReason::TupleLimitExceeded
             ))
         );
         // And with room to breathe the same instance solves.
-        let sol = solve_acyclic_budgeted(&p, &Budget::unlimited())
+        let sol = solve_acyclic_metered(&p, &mut Budget::unlimited().meter(), false)
             .unwrap()
             .expect("satisfiable");
         assert!(p.is_solution(&sol));
@@ -756,8 +708,10 @@ mod tests {
         for (leaves, d) in [(5usize, 3usize), (8, 4), (3, 1)] {
             let p = wide_star(leaves, d);
             let sequential = solve_acyclic(&p).unwrap();
-            let meter = Budget::unlimited().shared_meter();
-            let parallel = pool.install(|| solve_acyclic_shared(&p, &meter)).unwrap();
+            let mut meter = Budget::unlimited().meter();
+            let parallel = pool
+                .install(|| solve_acyclic_metered(&p, &mut meter, true))
+                .unwrap();
             assert_eq!(parallel, sequential, "star({leaves},{d})");
         }
         // A cyclic instance is rejected identically.
@@ -766,9 +720,9 @@ mod tests {
         for (u, v) in [(0u32, 1u32), (1, 2), (0, 2)] {
             tri.add_constraint([u, v], r.clone()).unwrap();
         }
-        let meter = Budget::unlimited().shared_meter();
+        let mut meter = Budget::unlimited().meter();
         assert_eq!(
-            solve_acyclic_shared(&tri, &meter),
+            solve_acyclic_metered(&tri, &mut meter, true),
             Err(AcyclicSolveError::NotAcyclic)
         );
     }
@@ -780,9 +734,9 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let meter = Budget::unlimited().with_tuple_limit(100).shared_meter();
+        let mut meter = Budget::unlimited().with_tuple_limit(100).meter();
         assert_eq!(
-            pool.install(|| solve_acyclic_shared(&p, &meter)),
+            pool.install(|| solve_acyclic_metered(&p, &mut meter, true)),
             Err(AcyclicSolveError::Exhausted(
                 ExhaustionReason::TupleLimitExceeded
             ))
@@ -798,13 +752,14 @@ mod tests {
             p.add_constraint([i, i + 1], r.clone()).unwrap();
         }
         let sequential = solve_acyclic(&p).unwrap();
-        let meter = Budget::unlimited().shared_meter();
+        let mut meter = Budget::unlimited().meter();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(2)
             .build()
             .unwrap();
         assert_eq!(
-            pool.install(|| solve_acyclic_shared(&p, &meter)).unwrap(),
+            pool.install(|| solve_acyclic_metered(&p, &mut meter, true))
+                .unwrap(),
             sequential
         );
     }

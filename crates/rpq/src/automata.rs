@@ -462,7 +462,7 @@ impl Dfa {
 
     /// Extracts a regular expression for the DFA's language by state
     /// elimination. Exponential in the worst case; used to present
-    /// rewritings (Section 7 / [8]) in readable form.
+    /// rewritings (Section 7 / \[8\]) in readable form.
     #[allow(clippy::needless_range_loop)] // GNFA matrix indexing
     pub fn to_regex(&self) -> Regex {
         // Generalized NFA: matrix of regexes between states 0..n+1

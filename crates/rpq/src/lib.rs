@@ -17,7 +17,7 @@
 //!   [`csp_via_view_answering`] — Theorem 7.3's converse reduction:
 //!   certain answering is as hard as `CSP(B)` for digraph templates;
 //! * [`maximal_rewriting`] — the maximal RPQ rewriting of a query using
-//!   views ([8]), whose evaluation is sound for (but in general weaker
+//!   views (\[8\]), whose evaluation is sound for (but in general weaker
 //!   than) the perfect rewriting, matching Theorem 7.2's message that
 //!   perfect rewritings are co-NP functions;
 //! * [`ArcConsistencyRewriting`] — the paper's closing remark made

@@ -20,7 +20,7 @@
 use crate::automata::Nfa;
 use crate::graphdb::GraphDb;
 use crate::regex::Regex;
-use cspdb_core::budget::{Answer, Budget, ExhaustionReason};
+use cspdb_core::budget::{Answer, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{Structure, Vocabulary};
 use std::collections::VecDeque;
@@ -224,20 +224,20 @@ impl CertainAnswering {
         cspdb_solver::find_homomorphism(&a, &self.template.template).is_none()
     }
 
-    /// [`Self::is_certain`] under a [`Budget`] on the underlying CSP
+    /// [`Self::is_certain`] under a [`Meter`] on the underlying CSP
     /// solve. The polarity flips through the reduction: the CSP is
     /// satisfiable iff the pair is **not** certain, so `Sat` maps to
     /// `Ok(false)`, `Unsat` to `Ok(true)`, and exhaustion stays
     /// inconclusive (`Err`).
-    pub fn is_certain_budgeted(
+    pub fn is_certain_metered(
         &self,
         exts: &Extensions,
         c: u32,
         d: u32,
-        budget: &Budget,
+        meter: &mut Meter,
     ) -> Result<bool, ExhaustionReason> {
         let a = extension_structure(&self.template, exts, c, d);
-        let run = cspdb_solver::find_homomorphism_budgeted(&a, &self.template.template, budget);
+        let run = cspdb_solver::find_homomorphism_metered(&a, &self.template.template, meter);
         match run.answer {
             Answer::Sat(_) => Ok(false),
             Answer::Unsat => Ok(true),
@@ -259,27 +259,26 @@ impl CertainAnswering {
         out
     }
 
-    /// [`Self::certain_answers`] under a [`Budget`]: the budget is
-    /// sliced evenly across the `n²` candidate pairs, so one adversarial
-    /// pair cannot starve the rest. The first slice that exhausts aborts
-    /// the sweep (inconclusive).
-    pub fn certain_answers_budgeted(
+    /// [`Self::certain_answers`] under a [`Meter`]: every one of the
+    /// `n²` candidate pairs charges the same meter, so the budget bounds
+    /// the whole sweep. The first pair that exhausts it aborts the sweep
+    /// (inconclusive).
+    pub fn certain_answers_metered(
         &self,
         exts: &Extensions,
-        budget: &Budget,
+        meter: &mut Meter,
     ) -> Result<Vec<(u32, u32)>, ExhaustionReason> {
         let n = exts.num_objects as u32;
         let pairs = (n as u64) * (n as u64);
-        let per_pair = budget.slice(1, pairs.max(1));
         let mut out = Vec::new();
         for c in 0..n {
             for d in 0..n {
-                if self.is_certain_budgeted(exts, c, d, &per_pair)? {
+                if self.is_certain_metered(exts, c, d, meter)? {
                     out.push((c, d));
                 }
             }
         }
-        budget.tracer().emit_with(|| TraceEvent::RpqCertain {
+        meter.tracer().emit_with(|| TraceEvent::RpqCertain {
             pairs,
             certain: out.len() as u64,
         });

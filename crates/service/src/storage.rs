@@ -22,9 +22,9 @@
 //! so such a record carries a complete structure; a single-tuple
 //! `insert`/`delete` instead appends a small **delta record**
 //! ([`PersistedDelta`]) that replay folds, in version order, onto the
-//! preceding base state. Once the log grows past
-//! [`DurableStorage::compact_threshold`] records (puts and deltas
-//! alike), it is folded into a fresh snapshot and emptied
+//! preceding base state. Once the log grows past the compaction
+//! threshold ([`DurableStorage::with_compact_threshold`]) in records
+//! (puts and deltas alike), it is folded into a fresh snapshot and emptied
 //! ([`TraceEvent::LogCompacted`]).
 //!
 //! The cache index is warm-start *hints*, never trusted blindly: each

@@ -34,10 +34,10 @@ mod search;
 pub use domain::DomainSet;
 pub use problem::{Problem, TableConstraint};
 pub use search::{
-    gac_fixpoint, gac_fixpoint_budgeted, Config, Outcome, Propagation, Search, Stats, VarOrder,
+    gac_fixpoint, gac_fixpoint_metered, Config, Outcome, Propagation, Search, Stats, VarOrder,
 };
 
-use cspdb_core::budget::{Answer, Budget, Metering, ResourceUsage, SharedMeter};
+use cspdb_core::budget::{Answer, Meter, ResourceUsage};
 use cspdb_core::{CoreError, CspInstance, PartialHom, Structure};
 use std::ops::ControlFlow;
 
@@ -57,8 +57,8 @@ pub struct BudgetedRun {
     pub usage: ResourceUsage,
 }
 
-fn run_metered<M: Metering>(p: &Problem, config: Config, meter: M) -> BudgetedRun {
-    let mut search = Search::with_meter(p, config, meter);
+fn run_metered(p: &Problem, config: Config, meter: &mut Meter) -> BudgetedRun {
+    let mut search = Search::with_meter(p, config, meter.clone());
     let mut found = None;
     let outcome = search.run(None, |sol| {
         found = Some(sol.to_vec());
@@ -81,72 +81,22 @@ fn run_metered<M: Metering>(p: &Problem, config: Config, meter: M) -> BudgetedRu
     }
 }
 
-fn run_budgeted(p: &Problem, config: Config, budget: &Budget) -> BudgetedRun {
-    run_metered(p, config, budget.meter())
-}
-
-/// Decides `A -> B` under a [`Budget`]: `Sat` with a witness, a definite
-/// `Unsat`, or `Unknown` if the budget ran out first.
-pub fn find_homomorphism_budgeted(a: &Structure, b: &Structure, budget: &Budget) -> BudgetedRun {
-    run_budgeted(&Problem::from_structures(a, b), Config::default(), budget)
-}
-
-/// Solves a CSP instance under a [`Budget`].
-pub fn solve_csp_budgeted(instance: &CspInstance, budget: &Budget) -> BudgetedRun {
-    solve_csp_budgeted_with(instance, Config::default(), budget)
-}
-
-/// Solves a CSP instance under a [`Budget`] with an explicit search
-/// configuration.
-pub fn solve_csp_budgeted_with(
-    instance: &CspInstance,
-    config: Config,
-    budget: &Budget,
-) -> BudgetedRun {
-    run_budgeted(&Problem::from_csp(instance), config, budget)
-}
-
-/// Solves a CSP instance charging an arbitrary [`Metering`] enforcer.
+/// Solves a CSP instance under a [`Meter`]: `Sat` with a witness, a
+/// definite `Unsat`, or `Unknown` if the budget ran out first.
 ///
-/// The caller keeps the meter, so the run's resource usage (and the
-/// tracer carried by the meter) stays observable afterwards — the
-/// `Solver` facade's per-phase trace summaries are built on this.
-pub fn solve_csp_metered<M: Metering>(instance: &CspInstance, meter: M) -> BudgetedRun {
+/// The search charges a clone of `meter` and the caller keeps the
+/// original, so the run's resource usage (and the tracer carried by the
+/// meter) stays observable afterwards — the `Solver` facade's per-phase
+/// trace summaries are built on this. Any other clone tripping, or the
+/// budget's [`cspdb_core::budget::CancelToken`] firing, stops this
+/// search at its next checkpoint with [`Answer::Unknown`].
+pub fn solve_csp_metered(instance: &CspInstance, meter: &mut Meter) -> BudgetedRun {
     run_metered(&Problem::from_csp(instance), Config::default(), meter)
 }
 
-/// [`find_homomorphism_budgeted`] charging an arbitrary [`Metering`]
-/// enforcer (see [`solve_csp_metered`]).
-pub fn find_homomorphism_metered<M: Metering>(
-    a: &Structure,
-    b: &Structure,
-    meter: M,
-) -> BudgetedRun {
+/// Decides `A -> B` under a [`Meter`] (see [`solve_csp_metered`]).
+pub fn find_homomorphism_metered(a: &Structure, b: &Structure, meter: &mut Meter) -> BudgetedRun {
     run_metered(&Problem::from_structures(a, b), Config::default(), meter)
-}
-
-/// Solves a CSP instance charging a thread-shared [`SharedMeter`]:
-/// several solver runs (or other algorithms) holding clones of the same
-/// meter draw on one global step/tuple/deadline budget, and any of them
-/// tripping — or the meter's [`cspdb_core::budget::CancelToken`] firing —
-/// stops this search at its next checkpoint with
-/// [`Answer::Unknown`].
-pub fn solve_csp_shared(instance: &CspInstance, meter: &SharedMeter) -> BudgetedRun {
-    run_metered(
-        &Problem::from_csp(instance),
-        Config::default(),
-        meter.clone(),
-    )
-}
-
-/// [`find_homomorphism_budgeted`] charging a thread-shared
-/// [`SharedMeter`] (see [`solve_csp_shared`]).
-pub fn find_homomorphism_shared(a: &Structure, b: &Structure, meter: &SharedMeter) -> BudgetedRun {
-    run_metered(
-        &Problem::from_structures(a, b),
-        Config::default(),
-        meter.clone(),
-    )
 }
 
 /// Finds a homomorphism `A -> B` with the default configuration

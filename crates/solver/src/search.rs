@@ -8,7 +8,7 @@
 
 use std::ops::ControlFlow;
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, ResourceUsage};
+use cspdb_core::budget::{ExhaustionReason, Meter, ResourceUsage};
 use cspdb_core::trace::TraceEvent;
 
 use crate::domain::DomainSet;
@@ -74,7 +74,7 @@ pub enum Outcome {
     Stopped,
     /// The node limit was hit before exhausting the space.
     NodeLimit,
-    /// The attached [`Budget`] ran out before exhausting the space.
+    /// The attached budget ran out before exhausting the space.
     ///
     /// Solutions delivered before exhaustion are still valid; the
     /// *absence* of solutions is inconclusive.
@@ -87,16 +87,16 @@ pub enum Outcome {
 /// the 2-pebble-game / canonical-Datalog approximation of Sections 4–5
 /// of the paper).
 pub fn gac_fixpoint(problem: &Problem) -> Option<Vec<DomainSet>> {
-    gac_fixpoint_budgeted(problem, &Budget::unlimited()).expect("unlimited budget cannot exhaust")
+    gac_fixpoint_metered(problem, &mut Meter::default()).expect("unlimited budget cannot exhaust")
 }
 
-/// [`gac_fixpoint`] under a [`Budget`]: `Err` when the budget ran out
+/// [`gac_fixpoint`] under a [`Meter`]: `Err` when the budget ran out
 /// mid-fixpoint (inconclusive), otherwise the same contract — `Ok(None)`
 /// is a *sound* refutation, `Ok(Some(domains))` the GAC-filtered
 /// domains.
-pub fn gac_fixpoint_budgeted(
+pub fn gac_fixpoint_metered(
     problem: &Problem,
-    budget: &Budget,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<DomainSet>>, ExhaustionReason> {
     if problem.trivially_false {
         return Ok(None);
@@ -105,7 +105,7 @@ pub fn gac_fixpoint_budgeted(
     if domains.iter().any(DomainSet::is_empty) && problem.num_vars > 0 {
         return Ok(None);
     }
-    let mut search = Search::with_budget(problem, Config::default(), budget);
+    let mut search = Search::with_meter(problem, Config::default(), meter.clone());
     if search.propagate_all(&mut domains)? {
         Ok(Some(domains))
     } else {
@@ -113,37 +113,28 @@ pub fn gac_fixpoint_budgeted(
     }
 }
 
-/// A configured search over a [`Problem`], generic over the budget
-/// enforcer: [`Meter`] (the default) for single-threaded runs,
-/// [`cspdb_core::budget::SharedMeter`] when several searches race under
-/// one thread-shared budget.
-pub struct Search<'p, M: Metering = Meter> {
+/// A configured search over a [`Problem`], charging one [`Meter`]
+/// handle.
+pub struct Search<'p> {
     problem: &'p Problem,
     config: Config,
     stats: Stats,
-    meter: M,
+    meter: Meter,
 }
 
 impl<'p> Search<'p> {
     /// Creates a search with the given configuration and no resource
     /// budget.
     pub fn new(problem: &'p Problem, config: Config) -> Self {
-        Search::with_budget(problem, config, &Budget::unlimited())
+        Search::with_meter(problem, config, Meter::default())
     }
 
-    /// Creates a search governed by `budget`: the run returns
+    /// Creates a search charging `meter`: the run returns
     /// [`Outcome::BudgetExhausted`] as soon as a limit trips (checked at
-    /// every node and, amortised, inside propagation).
-    pub fn with_budget(problem: &'p Problem, config: Config, budget: &Budget) -> Self {
-        Search::with_meter(problem, config, budget.meter())
-    }
-}
-
-impl<'p, M: Metering> Search<'p, M> {
-    /// Creates a search charging an arbitrary [`Metering`] enforcer —
-    /// pass a clone of a [`cspdb_core::budget::SharedMeter`] to race
-    /// this search against others under one budget.
-    pub fn with_meter(problem: &'p Problem, config: Config, meter: M) -> Self {
+    /// every node and, amortised, inside propagation). Pass a clone of a
+    /// caller's meter to race this search against other work under one
+    /// budget; dropping the search returns the clone's counts to it.
+    pub fn with_meter(problem: &'p Problem, config: Config, meter: Meter) -> Self {
         Search {
             problem,
             config,

@@ -524,7 +524,7 @@ fn cmd_datalog(args: &[String], budget: &Budget) -> Result<CmdOutcome, String> {
     };
     let program = cspdb_datalog::parse_program(&read(program_path)?)?;
     let edb = parse_facts(&read(facts_path)?)?;
-    let eval = match cspdb_datalog::evaluate_budgeted(&program, &edb, budget) {
+    let eval = match cspdb_datalog::evaluate_metered(&program, &edb, &mut budget.meter()) {
         Ok(eval) => eval,
         Err(cspdb_datalog::EvalError::Exhausted(reason)) => {
             println!("UNKNOWN ({reason})");
@@ -695,7 +695,7 @@ fn cmd_treewidth(args: &[String], budget: &Budget) -> Result<CmdOutcome, String>
         return Err("exact treewidth supports at most 64 vertices".into());
     }
     let g = cspdb_decomp::Graph::from_edges(n, edges);
-    let (w, order) = match cspdb_decomp::exact_treewidth_budgeted(&g, budget) {
+    let (w, order) = match cspdb_decomp::exact_treewidth_metered(&g, &mut budget.meter()) {
         Ok(res) => res,
         Err(reason) => {
             println!("UNKNOWN ({reason})");

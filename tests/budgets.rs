@@ -5,7 +5,7 @@
 
 use constraint_db::core::budget::{Answer, Budget, CancelToken, ExhaustionReason};
 use constraint_db::core::{CspInstance, Relation};
-use constraint_db::solver::{self, solve_csp_budgeted};
+use constraint_db::solver::{self, solve_csp_metered};
 use constraint_db::Solver;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn budgeted_search_agrees_with_ground_truth(p in small_csp(), steps in 1u64..2000) {
         let truth = p.solve_brute_force().is_some();
-        let run = solve_csp_budgeted(&p, &Budget::new().with_step_limit(steps));
+        let run = solve_csp_metered(&p, &mut Budget::new().with_step_limit(steps).meter());
         prop_assert!(run.answer.agrees_with(truth), "answer {} vs truth {}", run.answer, truth);
         if let Some(w) = run.answer.witness() {
             prop_assert!(p.is_solution(w));
@@ -65,8 +65,8 @@ proptest! {
     // definite answer, never flip a definite answer.
     #[test]
     fn larger_budgets_only_refine(p in small_csp(), steps in 1u64..500) {
-        let small = solve_csp_budgeted(&p, &Budget::new().with_step_limit(steps));
-        let large = solve_csp_budgeted(&p, &Budget::new().with_step_limit(steps * 4 + 64));
+        let small = solve_csp_metered(&p, &mut Budget::new().with_step_limit(steps).meter());
+        let large = solve_csp_metered(&p, &mut Budget::new().with_step_limit(steps * 4 + 64).meter());
         if small.answer.is_decided() {
             prop_assert!(large.answer.is_decided());
             prop_assert_eq!(small.answer.is_sat(), large.answer.is_sat());
@@ -102,7 +102,7 @@ fn prompt_cancellation_returns_unknown_cancelled() {
     let token = CancelToken::new();
     token.cancel();
     let t0 = Instant::now();
-    let run = solve_csp_budgeted(&p, &Budget::new().with_cancel(token.clone()));
+    let run = solve_csp_metered(&p, &mut Budget::new().with_cancel(token.clone()).meter());
     assert_eq!(run.answer, Answer::Unknown(ExhaustionReason::Cancelled));
     let report = Solver::new()
         .budget(Budget::new().with_cancel(token))
@@ -149,22 +149,26 @@ fn tuple_caps_bound_join_materialization() {
     for v in 0..7u32 {
         p.add_constraint([v, v + 1], rel.clone()).unwrap();
     }
-    let res =
-        constraint_db::relalg::solve_by_join_budgeted(&p, &Budget::new().with_tuple_limit(100));
+    let res = constraint_db::relalg::solve_by_join_metered(
+        &p,
+        &mut Budget::new().with_tuple_limit(100).meter(),
+    );
     assert_eq!(res, Err(ExhaustionReason::TupleLimitExceeded));
     // With room to breathe the same join succeeds.
-    let ok =
-        constraint_db::relalg::solve_by_join_budgeted(&p, &Budget::new().with_tuple_limit(200_000));
+    let ok = constraint_db::relalg::solve_by_join_metered(
+        &p,
+        &mut Budget::new().with_tuple_limit(200_000).meter(),
+    );
     assert!(ok.expect("fits").is_some());
 }
 
 #[test]
 fn step_limited_gac_is_inconclusive_not_wrong() {
-    // gac_fixpoint_budgeted: an exhausted run reports Err, never a bogus
+    // gac_fixpoint_metered: an exhausted run reports Err, never a bogus
     // wipeout.
     let p = hard_3sat(60, 3);
     let problem = solver::Problem::from_csp(&p);
-    match solver::gac_fixpoint_budgeted(&problem, &Budget::new().with_step_limit(1)) {
+    match solver::gac_fixpoint_metered(&problem, &mut Budget::new().with_step_limit(1).meter()) {
         Err(ExhaustionReason::StepLimitExceeded) => {}
         other => panic!("expected step exhaustion, got {other:?}"),
     }

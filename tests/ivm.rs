@@ -9,7 +9,7 @@
 use constraint_db::core::Relation;
 use constraint_db::core::{Budget, Structure, Vocabulary};
 use constraint_db::cq::{evaluate_by_join, ConjunctiveQuery};
-use constraint_db::datalog::{evaluate_budgeted, parse_program};
+use constraint_db::datalog::{evaluate_metered, parse_program};
 use constraint_db::ivm::{structure_with_delta, CqView, DatalogView, Delta, IvmError, RpqView};
 use constraint_db::rpq::{Regex, View};
 use constraint_db::service::Catalog;
@@ -108,7 +108,7 @@ proptest! {
             db = step(db, &delta, |d, pre, post| {
                 view.apply(d, pre, post, &budget).unwrap();
             });
-            let eval = evaluate_budgeted(&program, &db, &budget).unwrap();
+            let eval = evaluate_metered(&program, &db, &mut budget.meter()).unwrap();
             let want = eval
                 .relations
                 .get("T")

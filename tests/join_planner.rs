@@ -15,7 +15,7 @@
 use constraint_db::core::budget::Budget;
 use constraint_db::core::trace::{Recorder, TraceEvent};
 use constraint_db::relalg::{
-    join_all_budgeted, join_all_size_ordered, plan_join_order, wcoj_join_metered, NamedRelation,
+    join_all_metered, join_all_size_ordered, plan_join_order, wcoj_join_metered, NamedRelation,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -176,9 +176,9 @@ proptest! {
     #[test]
     fn planned_join_equals_size_ordered_baseline(rels in arbitrary_relations()) {
         let mut meter = Budget::unlimited().meter();
-        let planned = join_all_budgeted(rels.clone(), &mut meter)
+        let planned = join_all_metered(&rels, &mut meter)
             .expect("unlimited budget cannot exhaust");
-        let baseline = join_all_size_ordered(rels);
+        let baseline = join_all_size_ordered(rels, &mut Budget::unlimited().meter()).unwrap();
         prop_assert_eq!(
             canonical_rows(&planned),
             canonical_rows(&baseline),
@@ -195,7 +195,7 @@ proptest! {
         let rec = std::sync::Arc::new(rec);
         let budget = Budget::unlimited().with_trace(rec.clone());
         let mut meter = budget.meter();
-        let _ = join_all_budgeted(rels, &mut meter).expect("unlimited");
+        let _ = join_all_metered(&rels, &mut meter).expect("unlimited");
         let recorded: u64 = rec
             .events()
             .iter()
@@ -219,7 +219,7 @@ proptest! {
         let mut meter = budget.meter();
         let wcoj = wcoj_join_metered(&rels, &mut meter)
             .expect("unlimited budget cannot exhaust");
-        let baseline = join_all_size_ordered(rels);
+        let baseline = join_all_size_ordered(rels, &mut Budget::unlimited().meter()).unwrap();
         prop_assert_eq!(
             canonical_rows(&wcoj),
             canonical_rows(&baseline),
@@ -247,7 +247,7 @@ proptest! {
         let mut meter = budget.meter();
         let wcoj = wcoj_join_metered(&rels, &mut meter)
             .expect("unlimited budget cannot exhaust");
-        let baseline = join_all_size_ordered(rels);
+        let baseline = join_all_size_ordered(rels, &mut Budget::unlimited().meter()).unwrap();
         prop_assert_eq!(
             canonical_rows(&wcoj),
             canonical_rows(&baseline),
@@ -387,7 +387,6 @@ fn star_planner_peak_bounded_by_size_ordered() {
 #[test]
 fn size_ordered_baseline_respects_tuple_budgets() {
     use constraint_db::core::budget::ExhaustionReason;
-    use constraint_db::relalg::join_all_size_ordered_metered;
     // Two 8-row relations sharing one attribute: the join materializes
     // well over 4 tuples.
     let left = NamedRelation::new(
@@ -403,7 +402,7 @@ fn size_ordered_baseline_respects_tuple_budgets() {
     let tight = Budget::unlimited().with_tuple_limit(4);
     let mut meter = tight.meter();
     assert_eq!(
-        join_all_size_ordered_metered(rels.clone(), &mut meter),
+        join_all_size_ordered(rels.clone(), &mut meter),
         Err(ExhaustionReason::TupleLimitExceeded),
         "baseline must observe the tuple budget"
     );
@@ -411,9 +410,9 @@ fn size_ordered_baseline_respects_tuple_budgets() {
     // Unlimited metering agrees with the unmetered wrapper, and the
     // meter charged exactly the tuples the join materialized.
     let mut free = Budget::unlimited().meter();
-    let metered = join_all_size_ordered_metered(rels.clone(), &mut free)
-        .expect("unlimited budget cannot exhaust");
-    let plain = join_all_size_ordered(rels);
+    let metered =
+        join_all_size_ordered(rels.clone(), &mut free).expect("unlimited budget cannot exhaust");
+    let plain = join_all_size_ordered(rels, &mut Budget::unlimited().meter()).unwrap();
     assert_eq!(canonical_rows(&metered), canonical_rows(&plain));
     assert!(
         free.usage().tuples >= metered.len() as u64,

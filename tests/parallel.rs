@@ -1,13 +1,13 @@
-//! Parallel-execution integration tests: the shared-meter parallel paths
+//! Parallel-execution integration tests: the parallel paths
 //! (partitioned joins, per-level Yannakakis sweeps, parallel tree-DP,
 //! the portfolio racer) must agree with their sequential counterparts,
-//! and cancellation through a `SharedMeter` must stop work with bounded
+//! and cancellation through a cloned `Meter` must stop work with bounded
 //! latency.
 
 use constraint_db::core::budget::{Budget, CancelToken, ExhaustionReason, CHECK_INTERVAL};
 use constraint_db::core::{CspInstance, Relation};
-use constraint_db::decomp::{solve_by_treewidth, solve_by_treewidth_shared};
-use constraint_db::relalg::{solve_acyclic, solve_acyclic_shared, NamedRelation};
+use constraint_db::decomp::{solve_by_treewidth, solve_by_treewidth_metered};
+use constraint_db::relalg::{solve_acyclic, solve_acyclic_metered, NamedRelation};
 use constraint_db::{SolveStrategy, Solver};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -59,8 +59,8 @@ proptest! {
         let expected = a.natural_join(&b);
         for threads in [1usize, 2, 4] {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let meter = Budget::unlimited().shared_meter();
-            let got = pool.install(|| a.natural_join_parallel(&b, &meter)).unwrap();
+            let mut meter = Budget::unlimited().meter();
+            let got = pool.install(|| a.natural_join_parallel(&b, &mut meter)).unwrap();
             prop_assert_eq!(&got, &expected);
         }
     }
@@ -70,8 +70,8 @@ proptest! {
     #[test]
     fn shared_yannakakis_agrees_with_sequential(p in chain_csp()) {
         let expected = solve_acyclic(&p).unwrap();
-        let meter = Budget::unlimited().shared_meter();
-        let got = solve_acyclic_shared(&p, &meter).unwrap();
+        let mut meter = Budget::unlimited().meter();
+        let got = solve_acyclic_metered(&p, &mut meter, true).unwrap();
         prop_assert_eq!(got.is_some(), expected.is_some());
         if let Some(w) = got {
             prop_assert!(p.is_solution(&w));
@@ -105,22 +105,22 @@ fn shared_treewidth_dp_agrees_with_sequential() {
     ];
     for (a, b) in &cases {
         let (w_seq, seq) = solve_by_treewidth(a, b);
-        let meter = Budget::unlimited().shared_meter();
-        let (w_par, par) = solve_by_treewidth_shared(a, b, &meter)
+        let mut meter = Budget::unlimited().meter();
+        let (w_par, par) = solve_by_treewidth_metered(a, b, &mut meter, true)
             .expect("shared treewidth DP exhausted on an unlimited budget");
         assert_eq!(w_seq, w_par, "widths diverged");
         assert_eq!(seq.is_some(), par.is_some(), "verdicts diverged");
     }
 }
 
-/// Cancelling through a `SharedMeter` stops a ticking worker within one
+/// Cancelling through a cloned `Meter` stops a ticking worker within one
 /// amortized checkpoint window (`CHECK_INTERVAL` ticks), not "eventually".
 #[test]
-fn shared_meter_cancellation_latency_is_bounded() {
+fn cloned_meter_cancellation_latency_is_bounded() {
     let token = CancelToken::new();
     let budget = Budget::unlimited().with_cancel(token.clone());
-    let meter = budget.shared_meter();
-    let worker = meter.clone();
+    let meter = budget.meter();
+    let mut worker = meter.clone();
 
     // Warm up past the first checkpoint so the next one is a clean probe.
     for _ in 0..CHECK_INTERVAL {

@@ -108,7 +108,7 @@ proptest! {
         let rec = Arc::new(Recorder::new());
         let budget = Budget::unlimited().with_trace(rec.clone());
         let mut meter = budget.meter();
-        let result = solve_acyclic_metered(&p, &mut meter);
+        let result = solve_acyclic_metered(&p, &mut meter, false);
         prop_assert!(result.is_ok(), "unlimited budget cannot exhaust");
         let recorded: u64 = rec
             .events()
@@ -126,8 +126,8 @@ proptest! {
     }
 }
 
-/// The same accounting invariant holds on the shared-meter parallel
-/// Yannakakis path, where operator events come from worker partitions.
+/// The same accounting invariant holds on the parallel Yannakakis path,
+/// where operator events come from worker partitions.
 #[test]
 fn operator_cardinalities_equal_shared_tuples() {
     use constraint_db::core::graphs::{clique, undirected};
@@ -135,8 +135,8 @@ fn operator_cardinalities_equal_shared_tuples() {
     let p = CspInstance::from_homomorphism(&star, &clique(3)).unwrap();
     let rec = Arc::new(Recorder::new());
     let budget = Budget::unlimited().with_trace(rec.clone());
-    let meter = budget.shared_meter();
-    let result = constraint_db::relalg::solve_acyclic_shared(&p, &meter);
+    let mut meter = budget.meter();
+    let result = solve_acyclic_metered(&p, &mut meter, true);
     assert!(result.expect("acyclic").is_some(), "star is 3-colorable");
     let recorded: u64 = rec
         .events()
