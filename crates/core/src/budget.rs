@@ -11,7 +11,8 @@
 //! batch.
 //!
 //! **Local counts.** A meter counts in plain integers. The clock and
-//! the cancellation flag are read once per [`CHECK_INTERVAL`] units, so
+//! the cancellation flag are read when it leases quota — on its first
+//! unit of work and then once per [`CHECK_INTERVAL`] units — so
 //! governance costs a counter increment on the fast path.
 //!
 //! **Leased quota.** Step and tuple limits live in a pool shared by
@@ -1095,9 +1096,9 @@ mod tests {
             t.elapsed() >= Duration::from_millis(5),
             "checkpoint must observe the injected stall"
         );
-        let mut shared = Budget::new().with_faults(plan).meter().clone();
+        let mut clone = Budget::new().with_faults(plan).meter().clone();
         let t = Instant::now();
-        shared.checkpoint().unwrap();
+        clone.checkpoint().unwrap();
         assert!(t.elapsed() >= Duration::from_millis(5));
     }
 
