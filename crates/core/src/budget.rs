@@ -16,14 +16,16 @@
 //! governance costs a counter increment on the fast path.
 //!
 //! **Leased quota.** Step and tuple limits live in a pool shared by
-//! every clone of a meter. A handle leases quota from the pool in
+//! every handle of a meter. A handle leases quota from the pool in
 //! `CHECK_INTERVAL` chunks, capped by what remains, and returns what it
-//! did not use when it is dropped. The limit bounds the *total* work of
-//! all handles, exactly.
+//! did not use when it is dropped. When the pool runs dry the limit
+//! drains: every handle returns its quota and charges the pool directly,
+//! so a limit never trips before the handles' total work passes it.
 //!
-//! **One clone per worker.** A parallel kernel hands each worker a
-//! `meter.clone()`. The first handle to trip latches the reason in the
-//! pool, and every other handle fails its next call.
+//! **One fork per worker.** A parallel kernel hands each worker a
+//! [`Meter::fork`] of its meter, which first returns the parent's own
+//! quota to the pool. The first handle to trip latches the reason in
+//! the pool, and every other handle fails its next call.
 //!
 //! When a limit trips, the algorithm unwinds with
 //! [`ExhaustionReason`], and entry points report
@@ -286,8 +288,9 @@ impl Budget {
 
     /// Starts enforcement: the returned meter's clock begins now.
     ///
-    /// Clone the meter to hand one handle to each worker thread: every
-    /// clone draws on the same limits, clock, latch and tracer.
+    /// [`Meter::fork`] the meter to hand one handle to each worker
+    /// thread: every handle draws on the same limits, clock, latch and
+    /// tracer.
     pub fn meter(&self) -> Meter {
         Meter {
             pool: Arc::new(Pool {
@@ -296,9 +299,9 @@ impl Budget {
                 cancel: self.cancel.clone(),
                 trace: self.trace.clone(),
                 faults: self.faults.clone(),
-                steps: Quota::new(self.step_limit),
-                tuples: Quota::new(self.tuple_limit),
-                tripped: AtomicU8::new(TRIP_NONE),
+                steps: Quota::new(self.step_limit, STEPS_DRAINING),
+                tuples: Quota::new(self.tuple_limit, TUPLES_DRAINING),
+                state: AtomicU8::new(0),
             }),
             steps: Tally::default(),
             tuples: Tally::default(),
@@ -332,22 +335,21 @@ impl std::fmt::Display for ResourceUsage {
 /// Stateful enforcer of one [`Budget`] over one run, on one thread or
 /// many.
 ///
-/// A meter is a handle on a shared pool holding the budget's limits,
-/// clock, latched trip and totals. Each handle counts its own steps and
-/// tuples in plain integers and leases quota from the pool in chunks of
-/// [`CHECK_INTERVAL`] (capped by what remains of the limit), so the fast
-/// path — [`tick`](Meter::tick) inside a lease — is one relaxed load of
-/// the latch, an increment and a compare. When a lease runs out the
-/// handle flushes its counts to the pool, leases more and reads the
-/// clock and the cancellation flag. A limit is therefore exact: a step
-/// or tuple limit trips on the first unit of work past it, whichever
-/// handle does that work.
+/// A meter is a handle on a pool holding the budget's limits, clock,
+/// latched trip and totals. Each handle counts in plain integers inside
+/// quota it leases from the pool in [`CHECK_INTERVAL`] chunks, so the
+/// fast path of [`tick`](Meter::tick) is one relaxed load of the pool's
+/// state, an increment and a compare; the clock and the cancellation
+/// flag are read when a lease runs out. When the pool cannot cover a
+/// lease, the limit drains: every handle flushes its counts and returns
+/// its quota at its next call, then charges the pool directly. A limit
+/// thus never trips before the total work of all handles passes it. It
+/// overshoots by at most one unit per handle racing the trip, plus what
+/// a handle that has made no call since the drain began still holds.
 ///
-/// [`Clone`] gives a new handle on the same pool, with no counts and no
-/// quota of its own; a parallel algorithm hands one clone to each
-/// worker. Dropping a handle flushes its counts and returns its unused
-/// quota. Once any handle trips, every handle fails its next call, so
-/// deeply recursive algorithms and sibling workers unwind promptly.
+/// [`fork`](Meter::fork) gives a worker a new handle. Dropping a handle
+/// flushes its counts and returns its quota. Once any handle trips,
+/// every handle fails its next call.
 #[derive(Debug)]
 pub struct Meter {
     pool: Arc<Pool>,
@@ -355,9 +357,9 @@ pub struct Meter {
     tuples: Tally,
 }
 
-/// The state every clone of one [`Meter`] shares.
+/// The state every handle of one [`Meter`] shares.
 ///
-/// Its atomics use `Relaxed`: the latch and the counters publish no
+/// Its atomics use `Relaxed`: the state and the counters publish no
 /// other data, and a worker's final flush (on drop) is ordered before
 /// the parent's [`Meter::usage`] by the thread join that ends the
 /// worker.
@@ -370,8 +372,14 @@ struct Pool {
     faults: FaultHandle,
     steps: Quota,
     tuples: Quota,
-    tripped: AtomicU8,
+    /// The latched trip reason (`REASON_MASK`) and each draining
+    /// quota's bit; zero while nothing has happened.
+    state: AtomicU8,
 }
+
+const REASON_MASK: u8 = 0b0_0111;
+const STEPS_DRAINING: u8 = 0b0_1000;
+const TUPLES_DRAINING: u8 = 0b1_0000;
 
 /// One counted resource of a [`Pool`]: its limit, the quota leased to
 /// handles, and the units handles have flushed.
@@ -380,14 +388,17 @@ struct Quota {
     limit: Option<u64>,
     leased: AtomicU64,
     used: AtomicU64,
+    /// This quota's draining bit in [`Pool::state`].
+    draining: u8,
 }
 
 impl Quota {
-    fn new(limit: Option<u64>) -> Self {
+    fn new(limit: Option<u64>, draining: u8) -> Self {
         Quota {
             limit,
             leased: AtomicU64::new(0),
             used: AtomicU64::new(0),
+            draining,
         }
     }
 
@@ -413,14 +424,9 @@ impl Quota {
         }
     }
 
-    fn flush(&self, n: u64) {
-        if n > 0 {
-            let _ = self
-                .used
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
-                    Some(u.saturating_add(n))
-                });
-        }
+    /// Adds `n` used units; returns the flushed total.
+    fn flush(&self, n: u64) -> u64 {
+        self.used.fetch_add(n, Ordering::Relaxed).saturating_add(n)
     }
 }
 
@@ -434,26 +440,37 @@ struct Tally {
 }
 
 impl Tally {
-    /// Flushes the count, then leases quota for the part of it the held
-    /// quota did not cover, plus headroom. False if the limit cannot
-    /// cover it.
-    fn refill(&mut self, quota: &Quota) -> bool {
+    /// Flushes the count and makes room for the next unit. Outside a
+    /// drain it leases the part of the count its quota did not cover,
+    /// plus headroom, and starts a drain if the pool cannot cover that;
+    /// in a drain it holds no quota. `None` once the flushed total
+    /// passes the limit, else whether a checkpoint is due.
+    fn refill(&mut self, quota: &Quota, state: &AtomicU8) -> Option<bool> {
         let need = self.count - self.room;
-        quota.flush(self.count);
-        self.count = 0;
+        let flushed = std::mem::take(&mut self.count);
         self.room = 0;
-        let got = quota.lease(need.max(CHECK_INTERVAL));
-        if got < need {
+        let total = quota.flush(flushed);
+        if state.load(Ordering::Relaxed) & quota.draining == 0 {
+            let got = quota.lease(need.max(CHECK_INTERVAL));
+            if got >= need {
+                self.room = got - need;
+                return Some(true);
+            }
             quota.give_back(got);
-            return false;
+            state.fetch_or(quota.draining, Ordering::Relaxed);
         }
-        self.room = got - need;
-        true
+        if quota.limit.is_some_and(|limit| total > limit) {
+            return None;
+        }
+        // A drain reads the clock once per CHECK_INTERVAL pool units.
+        Some((total - flushed) / CHECK_INTERVAL != total / CHECK_INTERVAL)
     }
 
     /// Flushes the count and returns the unused quota.
     fn settle(&mut self, quota: &Quota) {
-        quota.flush(self.count);
+        if self.count > 0 {
+            quota.flush(self.count);
+        }
         quota.give_back(self.room.saturating_sub(self.count));
         *self = Tally::default();
     }
@@ -463,17 +480,6 @@ impl Default for Meter {
     /// An unlimited meter (equivalent to `Budget::unlimited().meter()`).
     fn default() -> Self {
         Budget::unlimited().meter()
-    }
-}
-
-impl Clone for Meter {
-    /// A new handle on the same budget, holding no counts and no quota.
-    fn clone(&self) -> Self {
-        Meter {
-            pool: Arc::clone(&self.pool),
-            steps: Tally::default(),
-            tuples: Tally::default(),
-        }
     }
 }
 
@@ -492,10 +498,10 @@ impl Meter {
     /// natural unit of work is.
     #[inline]
     pub fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        self.latched()?;
+        self.observe_state()?;
         self.steps.count += 1;
         if self.steps.count > self.steps.room {
-            self.refill_steps()
+            self.refill(ExhaustionReason::StepLimitExceeded)
         } else {
             Ok(())
         }
@@ -513,36 +519,47 @@ impl Meter {
     /// a cancellation when no tuple cap is set.
     #[inline]
     pub fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        self.latched()?;
+        self.observe_state()?;
         self.tuples.count = self.tuples.count.saturating_add(n);
         if self.tuples.count > self.tuples.room {
-            self.refill_tuples()
+            self.refill(ExhaustionReason::TupleLimitExceeded)
         } else {
             Ok(())
         }
     }
 
-    #[cold]
-    fn refill_steps(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        if !self.steps.refill(&self.pool.steps) {
-            return Err(self.trip(ExhaustionReason::StepLimitExceeded));
+    /// A new handle on the same pool for one worker, holding no counts
+    /// and no quota. This handle first flushes its counts and returns
+    /// its unused quota, so the workers can lease all that remains.
+    pub fn fork(&mut self) -> Meter {
+        self.steps.settle(&self.pool.steps);
+        self.tuples.settle(&self.pool.tuples);
+        Meter {
+            pool: Arc::clone(&self.pool),
+            steps: Tally::default(),
+            tuples: Tally::default(),
         }
-        self.checkpoint()
     }
 
+    /// Refills the tally `reason` names when it outgrows its quota.
     #[cold]
-    fn refill_tuples(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        if !self.tuples.refill(&self.pool.tuples) {
-            return Err(self.trip(ExhaustionReason::TupleLimitExceeded));
+    fn refill(&mut self, reason: ExhaustionReason) -> std::result::Result<(), ExhaustionReason> {
+        let (tally, quota) = match reason {
+            ExhaustionReason::StepLimitExceeded => (&mut self.steps, &self.pool.steps),
+            _ => (&mut self.tuples, &self.pool.tuples),
+        };
+        match tally.refill(quota, &self.pool.state) {
+            None => Err(self.trip(reason)),
+            Some(true) => self.checkpoint(),
+            Some(false) => Ok(()),
         }
-        self.checkpoint()
     }
 
     /// Forces the expensive checks (clock, cancellation) right now,
     /// regardless of the amortisation counter. Call before starting a
     /// phase whose unit of work is coarse.
     pub fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        self.latched()?;
+        self.observe_state()?;
         // Slow-down faults strike here, where real stalls are observed:
         // amortised to checkpoint cadence, inert = one branch.
         self.pool.faults.maybe_slow_down();
@@ -560,39 +577,59 @@ impl Meter {
     }
 
     #[inline]
-    fn latched(&self) -> std::result::Result<(), ExhaustionReason> {
-        self.exhausted().map_or(Ok(()), Err)
+    fn observe_state(&mut self) -> std::result::Result<(), ExhaustionReason> {
+        match self.pool.state.load(Ordering::Relaxed) {
+            0 => Ok(()),
+            state => self.on_state(state),
+        }
     }
 
-    /// Latches `reason`; the first trip wins and every clone observes it.
+    /// Every call's slow path once the pool has tripped or a quota is
+    /// draining: fail on a trip, else settle each draining tally.
+    #[cold]
+    fn on_state(&mut self, state: u8) -> std::result::Result<(), ExhaustionReason> {
+        if let Some(reason) = decode_reason(state & REASON_MASK) {
+            return Err(reason);
+        }
+        if state & STEPS_DRAINING != 0 {
+            self.steps.settle(&self.pool.steps);
+        }
+        if state & TUPLES_DRAINING != 0 {
+            self.tuples.settle(&self.pool.tuples);
+        }
+        Ok(())
+    }
+
+    /// Latches `reason`; the first trip wins and every handle observes it.
     fn trip(&self, reason: ExhaustionReason) -> ExhaustionReason {
-        match self.pool.tripped.compare_exchange(
-            TRIP_NONE,
-            reason_code(reason),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
+        let code = reason_code(reason);
+        match self
+            .pool
+            .state
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                (s & REASON_MASK == 0).then_some(s | code)
+            }) {
             Ok(_) => reason,
-            Err(prior) => decode_reason(prior).expect("latched code decodes"),
+            Err(prior) => decode_reason(prior & REASON_MASK).expect("latched code decodes"),
         }
     }
 
     /// The latched exhaustion reason, if any limit has tripped on any
-    /// clone of this meter.
+    /// handle of this meter.
     #[inline]
     pub fn exhausted(&self) -> Option<ExhaustionReason> {
-        decode_reason(self.pool.tripped.load(Ordering::Relaxed))
+        decode_reason(self.pool.state.load(Ordering::Relaxed) & REASON_MASK)
     }
 
     /// The tracer carried from the originating [`Budget`]; shared by
-    /// every clone, so parallel workers emit to one sink.
+    /// every handle, so parallel workers emit to one sink.
     #[inline]
     pub fn tracer(&self) -> &Tracer {
         &self.pool.trace
     }
 
     /// Resources consumed so far: everything flushed to the pool (every
-    /// dropped clone's work included) plus this handle's own counts.
+    /// dropped handle's work included) plus this handle's own counts.
     pub fn usage(&self) -> ResourceUsage {
         let total = |quota: &Quota, tally: &Tally| {
             quota
@@ -634,8 +671,6 @@ impl Meter {
         }
     }
 }
-
-const TRIP_NONE: u8 = 0;
 
 fn reason_code(reason: ExhaustionReason) -> u8 {
     match reason {
@@ -830,8 +865,8 @@ mod tests {
         assert!(m.tick().is_err());
         let mut m2 = s.meter();
         assert!(m2.charge_tuples(1).is_err());
-        let m3 = s.meter();
-        assert!(m3.clone().checkpoint().is_err());
+        let mut m3 = s.meter();
+        assert!(m3.fork().checkpoint().is_err());
         // Same for a limited parent.
         let s = Budget::new().with_step_limit(1000).slice(0, 4);
         assert!(s.meter().tick().is_err());
@@ -925,10 +960,10 @@ mod tests {
 
     #[test]
     fn meter_clones_count_across_threads() {
-        let m = Budget::unlimited().meter();
+        let mut m = Budget::unlimited().meter();
         thread::scope(|s| {
             for _ in 0..4 {
-                let mut m = m.clone();
+                let mut m = m.fork();
                 s.spawn(move || {
                     for _ in 0..1000 {
                         m.tick().unwrap();
@@ -947,12 +982,12 @@ mod tests {
     fn meter_clones_share_one_step_limit() {
         // Four workers share a 2000-step budget: the limit bounds their
         // *sum*, and every worker observes the latched trip.
-        let m = Budget::new().with_step_limit(2000).meter();
+        let mut m = Budget::new().with_step_limit(2000).meter();
         let mut reasons = Vec::new();
         thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let mut m = m.clone();
+                    let mut m = m.fork();
                     s.spawn(move || {
                         for _ in 0..1000 {
                             if let Err(r) = m.tick() {
@@ -973,7 +1008,9 @@ mod tests {
             assert_eq!(r, ExhaustionReason::StepLimitExceeded);
         }
         assert_eq!(m.exhausted(), Some(ExhaustionReason::StepLimitExceeded));
-        assert!(m.usage().steps <= 2000 + 4, "overshoot bounded by workers");
+        let steps = m.usage().steps;
+        assert!(steps > 2000, "no worker trips before the limit is spent");
+        assert!(steps <= 2000 + 4, "overshoot bounded by workers");
     }
 
     #[test]
@@ -983,7 +1020,7 @@ mod tests {
         assert_eq!(m.tick(), Err(ExhaustionReason::StepLimitExceeded));
         // A later, different violation reports the latched reason.
         assert_eq!(
-            m.clone().charge_tuples(100),
+            m.fork().charge_tuples(100),
             Err(ExhaustionReason::StepLimitExceeded)
         );
     }
@@ -993,11 +1030,11 @@ mod tests {
         // Bounded-latency cancellation: once the token fires, every
         // worker unwinds within one CHECK_INTERVAL of further ticks.
         let token = CancelToken::new();
-        let m = Budget::new().with_cancel(token.clone()).meter();
+        let mut m = Budget::new().with_cancel(token.clone()).meter();
         thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| {
-                    let mut m = m.clone();
+                    let mut m = m.fork();
                     s.spawn(move || {
                         let mut ticks_after_latch = 0u64;
                         loop {
@@ -1026,7 +1063,7 @@ mod tests {
         let mut m = Budget::new()
             .with_deadline(Duration::from_millis(1))
             .meter()
-            .clone();
+            .fork();
         thread::sleep(Duration::from_millis(3));
         let mut tripped = false;
         for _ in 0..=CHECK_INTERVAL {
@@ -1040,13 +1077,13 @@ mod tests {
 
     #[test]
     fn dropped_clone_returns_unused_quota() {
-        let m = Budget::new().with_step_limit(2000).meter();
-        let mut first = m.clone();
+        let mut m = Budget::new().with_step_limit(2000).meter();
+        let mut first = m.fork();
         for _ in 0..10 {
             first.tick().unwrap();
         }
         drop(first);
-        let mut second = m.clone();
+        let mut second = m.fork();
         let mut ticks = 0u64;
         let reason = loop {
             match second.tick() {
@@ -1057,6 +1094,57 @@ mod tests {
         assert_eq!(reason, ExhaustionReason::StepLimitExceeded);
         assert_eq!(ticks, 1990, "the dropped clone's unused lease must return");
         assert_eq!(m.usage().steps, 2001, "the failing tick counts");
+    }
+
+    #[test]
+    fn live_clones_share_quota_up_to_the_limit() {
+        // Three live handles take turns: the first two lease all 2000
+        // steps between them, and the third must still get its share.
+        let mut m = Budget::new().with_step_limit(2000).meter();
+        let mut handles = [m.fork(), m.fork(), m.fork()];
+        for i in 0..2000 {
+            assert_eq!(handles[i % 3].tick(), Ok(()), "tick {} of 2000", i + 1);
+        }
+        assert_eq!(
+            handles[2000 % 3].tick(),
+            Err(ExhaustionReason::StepLimitExceeded)
+        );
+        drop(handles);
+        assert_eq!(m.usage().steps, 2001);
+        match m.as_core_error(ExhaustionReason::StepLimitExceeded) {
+            CoreError::ResourceExhausted { spent, limit, .. } => {
+                assert_eq!((spent, limit), (2001, 2000));
+            }
+            other => panic!("wrong error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn live_clones_share_tuple_quota_up_to_the_limit() {
+        let mut m = Budget::new().with_tuple_limit(3000).meter();
+        let mut handles = [m.fork(), m.fork(), m.fork(), m.fork()];
+        for i in 0..1000 {
+            assert_eq!(handles[i % 4].charge_tuples(3), Ok(()));
+        }
+        assert_eq!(
+            handles[1].charge_tuples(1),
+            Err(ExhaustionReason::TupleLimitExceeded)
+        );
+    }
+
+    #[test]
+    fn fork_returns_the_parents_quota() {
+        // The parent ticks, then forks a worker and waits: the worker
+        // can use every step the parent did not.
+        let mut m = Budget::new().with_step_limit(1000).meter();
+        for _ in 0..21 {
+            m.tick().unwrap();
+        }
+        let mut worker = m.fork();
+        for _ in 0..979 {
+            worker.tick().unwrap();
+        }
+        assert_eq!(worker.tick(), Err(ExhaustionReason::StepLimitExceeded));
     }
 
     #[test]
@@ -1096,7 +1184,7 @@ mod tests {
             t.elapsed() >= Duration::from_millis(5),
             "checkpoint must observe the injected stall"
         );
-        let mut clone = Budget::new().with_faults(plan).meter().clone();
+        let mut clone = Budget::new().with_faults(plan).meter().fork();
         let t = Instant::now();
         clone.checkpoint().unwrap();
         assert!(t.elapsed() >= Duration::from_millis(5));

@@ -77,7 +77,7 @@ pub fn evaluate_by_search_metered(
         .collect();
     let problem = cspdb_solver::Problem::from_structures(&a, db);
     let mut search =
-        cspdb_solver::Search::with_meter(&problem, cspdb_solver::Config::default(), meter.clone());
+        cspdb_solver::Search::with_meter(&problem, cspdb_solver::Config::default(), meter);
     let boolean = q.is_boolean();
     let mut answers: HashSet<Vec<u32>> = HashSet::new();
     let outcome = search.run(None, |h| {

@@ -120,7 +120,7 @@ pub struct TierAttempt {
 
 /// Wall time and meter counters one phase of a governed run consumed.
 ///
-/// Under portfolio racing all racers draw on clones of one meter, so step
+/// Under portfolio racing all racers draw on forks of one meter, so step
 /// and tuple counts are unattributable per racer: racer phases report
 /// zero counters and an aggregate `"portfolio"` phase carries the
 /// totals.
@@ -270,7 +270,7 @@ pub enum SolveStrategy {
     #[default]
     Ladder,
     /// The applicable structural strategies race on [`rayon`] workers,
-    /// each charging a clone of one meter; first sound answer wins and
+    /// each charging a fork of one meter; first sound answer wins and
     /// cancels the rest.
     Portfolio,
 }
@@ -798,7 +798,7 @@ enum RaceResult {
 /// tier with budget *slices*, the applicable structural strategies —
 /// Yannakakis on acyclic instances, the treewidth DP when planning stays
 /// under the cutoff, and MAC backtracking — **race on [`rayon`] workers,
-/// each charging a clone of one [`Meter`]**. The
+/// each charging a fork of one [`Meter`]**. The
 /// budget's step, tuple, and deadline limits bound the racers' *total*
 /// work, and the first racer to produce a sound answer cancels the rest
 /// through a [`CancelToken`] child of the caller's token (so cancelling
@@ -826,13 +826,17 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
         None => CancelToken::new(),
     };
     let race_budget = budget.clone().with_cancel(race.clone());
-    let meter = race_budget.meter();
+    let mut meter = race_budget.meter();
     let acyclic = cspdb_relalg::is_acyclic_instance(instance);
     let (a, b) = instance.to_homomorphism();
+    // One fork per racer, moved into it so it flushes when the racer ends.
+    let forks = [meter.fork(), meter.fork(), meter.fork()];
+    let [yannakakis_meter, treewidth_meter, backtracking_meter] = forks;
 
     type Racer<'r> = Box<dyn FnOnce() -> (Strategy, RaceResult, u64) + Send + 'r>;
     let racers: Vec<Racer> = vec![
         Box::new(|| {
+            let mut meter = yannakakis_meter;
             meter.tracer().emit_with(|| TraceEvent::TierStart {
                 strategy: "yannakakis",
             });
@@ -844,26 +848,26 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
                     micros_since(start),
                 );
             }
-            let result =
-                match cspdb_relalg::solve_acyclic_metered(instance, &mut meter.clone(), true) {
-                    Ok(witness) => {
-                        race.cancel();
-                        RaceResult::Decided(answer_of(witness))
-                    }
-                    Err(cspdb_relalg::AcyclicSolveError::Exhausted(r)) => RaceResult::Exhausted(r),
-                    Err(cspdb_relalg::AcyclicSolveError::NotAcyclic) => {
-                        unreachable!("checked acyclic")
-                    }
-                };
+            let result = match cspdb_relalg::solve_acyclic_metered(instance, &mut meter, true) {
+                Ok(witness) => {
+                    race.cancel();
+                    RaceResult::Decided(answer_of(witness))
+                }
+                Err(cspdb_relalg::AcyclicSolveError::Exhausted(r)) => RaceResult::Exhausted(r),
+                Err(cspdb_relalg::AcyclicSolveError::NotAcyclic) => {
+                    unreachable!("checked acyclic")
+                }
+            };
             (Strategy::Yannakakis, result, micros_since(start))
         }),
         Box::new(|| {
+            let mut meter = treewidth_meter;
             meter.tracer().emit_with(|| TraceEvent::TierStart {
                 strategy: "treewidth",
             });
             let start = Instant::now();
             let g = cspdb_decomp::Graph::gaifman(&a);
-            let (strategy, result) = match treewidth_tier(&a, &b, &g, &mut meter.clone(), true) {
+            let (strategy, result) = match treewidth_tier(&a, &b, &g, &mut meter, true) {
                 TreewidthTier::Decided(width, witness) => {
                     race.cancel();
                     (
@@ -882,11 +886,12 @@ fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
             (strategy, result, micros_since(start))
         }),
         Box::new(|| {
+            let mut meter = backtracking_meter;
             meter.tracer().emit_with(|| TraceEvent::TierStart {
                 strategy: "backtracking",
             });
             let start = Instant::now();
-            let run = cspdb_solver::solve_csp_metered(instance, &mut meter.clone());
+            let run = cspdb_solver::solve_csp_metered(instance, &mut meter);
             let result = match run.answer {
                 Answer::Unknown(r) => RaceResult::Exhausted(r),
                 sound => {

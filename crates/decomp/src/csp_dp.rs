@@ -296,7 +296,7 @@ fn dp_precheck(
 ///
 /// With `parallel`, the tables are computed level by level: bag tables
 /// at the same depth depend only on tables one level deeper, so each
-/// level's bags run on [`rayon`] workers, each charging a clone of
+/// level's bags run on [`rayon`] workers, each charging a fork of
 /// `meter`. The verdict and witness are identical either way.
 ///
 /// # Errors
@@ -327,19 +327,18 @@ pub fn solve_with_decomposition_metered(
         // level are independent and parallelise.
         let max_depth = setup.depth.iter().copied().max().unwrap_or(0);
         for level in (0..=max_depth).rev() {
-            let nodes: Vec<usize> = setup
+            let nodes: Vec<(usize, Meter)> = setup
                 .order
                 .iter()
                 .copied()
                 .filter(|&n| setup.depth[n] == level)
+                .map(|n| (n, meter.fork()))
                 .collect();
             let tables_ref = &tables;
             let setup_ref = &setup;
-            let shared = &*meter;
             let computed: Vec<(usize, Vec<Vec<u32>>)> = nodes
                 .into_par_iter()
-                .map(move |node| {
-                    let mut m = shared.clone();
+                .map(move |(node, mut m)| {
                     let table = compute_bag_table(b, td, setup_ref, node, tables_ref, &mut m)?;
                     Ok((node, table))
                 })

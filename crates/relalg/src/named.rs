@@ -288,7 +288,7 @@ impl NamedRelation {
     ///
     /// Both sides are hash-partitioned on the join key with a fixed
     /// (process-independent) hash; partition pairs are joined on
-    /// [`rayon`] workers, each charging its own clone of `meter`; and the
+    /// [`rayon`] workers, each charging its own fork of `meter`; and the
     /// per-partition results are concatenated in partition-index order
     /// before canonicalisation, so the result is **identical** to
     /// [`natural_join`](Self::natural_join). Disjoint schemas (a pure
@@ -332,16 +332,15 @@ impl NamedRelation {
                 let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
                 right[(h % parts as u64) as usize].push(row.clone());
             }
-            let meter = &*meter;
-            (0..parts)
-                .into_par_iter()
-                .map(|p| {
+            let work: Vec<(usize, Meter)> = (0..parts).map(|p| (p, meter.fork())).collect();
+            work.into_par_iter()
+                .map(|(p, mut m)| {
                     join_rows(
                         &left[p],
                         &right[p],
                         &plan,
                         OperatorKind::ParallelHashJoin,
-                        &mut meter.clone(),
+                        &mut m,
                     )
                 })
                 .collect()

@@ -238,7 +238,7 @@ fn solve_along_forest_metered(
 
 /// Parallel full reducer under one budget: each sweep is run level by
 /// level (by join-tree depth), and all semijoins within a level execute
-/// on [`rayon`] workers, each charging its own clone of `meter`.
+/// on [`rayon`] workers, each charging its own fork of `meter`.
 ///
 /// Correctness: semijoin is a filter, so reducing a parent by its
 /// children is order-independent; bottom-up, the parents updated at one
@@ -254,28 +254,27 @@ fn solve_along_forest_parallel(
 ) -> Result<Option<Vec<u32>>, ExhaustionReason> {
     debug_assert_eq!(parent.len(), rels.len());
     let forest = Forest::new(parent);
-    let shared = &*meter;
     let max_depth = forest.depth.iter().copied().max().unwrap_or(0);
     // Bottom-up: at each level (deepest first), every parent with
     // children folds them in, in parallel across parents.
     let mut semijoins = 0u64;
     for level in (0..max_depth).rev() {
-        let parents: Vec<usize> = forest
+        let parents: Vec<(usize, Meter)> = forest
             .order
             .iter()
             .copied()
             .filter(|&p| forest.depth[p] == level && !forest.children[p].is_empty())
+            .map(|p| (p, meter.fork()))
             .collect();
         semijoins += parents
             .iter()
-            .map(|&p| forest.children[p].len() as u64)
+            .map(|&(p, _)| forest.children[p].len() as u64)
             .sum::<u64>();
         let rels_ref = &rels;
         let forest_ref = &forest;
         let reduced: Vec<(usize, NamedRelation)> = parents
             .into_par_iter()
-            .map(move |p| {
-                let mut m = shared.clone();
+            .map(move |(p, mut m)| {
                 m.tick()?;
                 let mut r = rels_ref[p].clone();
                 for &c in &forest_ref.children[p] {
@@ -299,18 +298,18 @@ fn solve_along_forest_parallel(
     // parallel within the level.
     let mut semijoins = 0u64;
     for level in 1..=max_depth {
-        let nodes: Vec<usize> = forest
+        let nodes: Vec<(usize, Meter)> = forest
             .order
             .iter()
             .copied()
             .filter(|&n| forest.depth[n] == level)
+            .map(|n| (n, meter.fork()))
             .collect();
         semijoins += nodes.len() as u64;
         let rels_ref = &rels;
         let reduced: Vec<(usize, NamedRelation)> = nodes
             .into_par_iter()
-            .map(move |n| {
-                let mut m = shared.clone();
+            .map(move |(n, mut m)| {
                 m.tick()?;
                 let p = parent[n].expect("depth > 0 implies a parent");
                 Ok((n, rels_ref[n].semijoin_metered(&rels_ref[p], &mut m)?))
@@ -367,7 +366,7 @@ pub fn solve_acyclic(instance: &CspInstance) -> Result<Option<Vec<u32>>, NotAcyc
 ///
 /// With `parallel`, the full reducer runs level by level over the join
 /// tree and all semijoins at one depth run on [`rayon`] workers, each
-/// charging a clone of `meter`, so a step/tuple cap, deadline, or
+/// charging a fork of `meter`, so a step/tuple cap, deadline, or
 /// cancellation is enforced globally across workers. The verdict and
 /// witness are identical either way.
 ///

@@ -58,7 +58,7 @@ pub struct BudgetedRun {
 }
 
 fn run_metered(p: &Problem, config: Config, meter: &mut Meter) -> BudgetedRun {
-    let mut search = Search::with_meter(p, config, meter.clone());
+    let mut search = Search::with_meter(p, config, meter);
     let mut found = None;
     let outcome = search.run(None, |sol| {
         found = Some(sol.to_vec());
@@ -84,12 +84,12 @@ fn run_metered(p: &Problem, config: Config, meter: &mut Meter) -> BudgetedRun {
 /// Solves a CSP instance under a [`Meter`]: `Sat` with a witness, a
 /// definite `Unsat`, or `Unknown` if the budget ran out first.
 ///
-/// The search charges a clone of `meter` and the caller keeps the
-/// original, so the run's resource usage (and the tracer carried by the
-/// meter) stays observable afterwards — the `Solver` facade's per-phase
-/// trace summaries are built on this. Any other clone tripping, or the
-/// budget's [`cspdb_core::budget::CancelToken`] firing, stops this
-/// search at its next checkpoint with [`Answer::Unknown`].
+/// The search charges `meter` itself, so the run's resource usage (and
+/// the tracer carried by the meter) stays observable afterwards — the
+/// `Solver` facade's per-phase trace summaries are built on this. Any
+/// other handle of the meter tripping, or the budget's
+/// [`cspdb_core::budget::CancelToken`] firing, stops this search at its
+/// next checkpoint with [`Answer::Unknown`].
 pub fn solve_csp_metered(instance: &CspInstance, meter: &mut Meter) -> BudgetedRun {
     run_metered(&Problem::from_csp(instance), Config::default(), meter)
 }

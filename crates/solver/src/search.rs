@@ -105,7 +105,7 @@ pub fn gac_fixpoint_metered(
     if domains.iter().any(DomainSet::is_empty) && problem.num_vars > 0 {
         return Ok(None);
     }
-    let mut search = Search::with_meter(problem, Config::default(), meter.clone());
+    let mut search = Search::with_meter(problem, Config::default(), meter);
     if search.propagate_all(&mut domains)? {
         Ok(Some(domains))
     } else {
@@ -113,28 +113,57 @@ pub fn gac_fixpoint_metered(
     }
 }
 
-/// A configured search over a [`Problem`], charging one [`Meter`]
-/// handle.
-pub struct Search<'p> {
-    problem: &'p Problem,
+/// A configured search over a [`Problem`], charging one [`Meter`].
+pub struct Search<'a> {
+    problem: &'a Problem,
     config: Config,
     stats: Stats,
-    meter: Meter,
+    meter: SearchMeter<'a>,
 }
 
-impl<'p> Search<'p> {
+/// The meter a [`Search`] charges: its own unlimited one, or the
+/// caller's.
+enum SearchMeter<'a> {
+    Own(Meter),
+    Caller(&'a mut Meter),
+}
+
+impl std::ops::Deref for SearchMeter<'_> {
+    type Target = Meter;
+
+    fn deref(&self) -> &Meter {
+        match self {
+            SearchMeter::Own(m) => m,
+            SearchMeter::Caller(m) => m,
+        }
+    }
+}
+
+impl std::ops::DerefMut for SearchMeter<'_> {
+    fn deref_mut(&mut self) -> &mut Meter {
+        match self {
+            SearchMeter::Own(m) => m,
+            SearchMeter::Caller(m) => m,
+        }
+    }
+}
+
+impl<'a> Search<'a> {
     /// Creates a search with the given configuration and no resource
     /// budget.
-    pub fn new(problem: &'p Problem, config: Config) -> Self {
-        Search::with_meter(problem, config, Meter::default())
+    pub fn new(problem: &'a Problem, config: Config) -> Self {
+        Search::build(problem, config, SearchMeter::Own(Meter::default()))
     }
 
-    /// Creates a search charging `meter`: the run returns
+    /// Creates a search charging the caller's `meter`: the run returns
     /// [`Outcome::BudgetExhausted`] as soon as a limit trips (checked at
-    /// every node and, amortised, inside propagation). Pass a clone of a
-    /// caller's meter to race this search against other work under one
-    /// budget; dropping the search returns the clone's counts to it.
-    pub fn with_meter(problem: &'p Problem, config: Config, meter: Meter) -> Self {
+    /// every node and, amortised, inside propagation), and the caller
+    /// reads the meter's usage and tracer afterwards.
+    pub fn with_meter(problem: &'a Problem, config: Config, meter: &'a mut Meter) -> Self {
+        Search::build(problem, config, SearchMeter::Caller(meter))
+    }
+
+    fn build(problem: &'a Problem, config: Config, meter: SearchMeter<'a>) -> Self {
         Search {
             problem,
             config,

@@ -1,7 +1,7 @@
 //! Parallel-execution integration tests: the parallel paths
 //! (partitioned joins, per-level Yannakakis sweeps, parallel tree-DP,
 //! the portfolio racer) must agree with their sequential counterparts,
-//! and cancellation through a cloned `Meter` must stop work with bounded
+//! and cancellation through a forked `Meter` must stop work with bounded
 //! latency.
 
 use constraint_db::core::budget::{Budget, CancelToken, ExhaustionReason, CHECK_INTERVAL};
@@ -113,14 +113,14 @@ fn shared_treewidth_dp_agrees_with_sequential() {
     }
 }
 
-/// Cancelling through a cloned `Meter` stops a ticking worker within one
+/// Cancelling through a forked `Meter` stops a ticking worker within one
 /// amortized checkpoint window (`CHECK_INTERVAL` ticks), not "eventually".
 #[test]
 fn cloned_meter_cancellation_latency_is_bounded() {
     let token = CancelToken::new();
     let budget = Budget::unlimited().with_cancel(token.clone());
-    let meter = budget.meter();
-    let mut worker = meter.clone();
+    let mut meter = budget.meter();
+    let mut worker = meter.fork();
 
     // Warm up past the first checkpoint so the next one is a clean probe.
     for _ in 0..CHECK_INTERVAL {
@@ -140,4 +140,98 @@ fn cloned_meter_cancellation_latency_is_bounded() {
         );
     };
     assert_eq!(tripped, ExhaustionReason::Cancelled);
+}
+
+/// A chain CSP over `n` variables with domain `d`: neighbours differ,
+/// and the last variable is pinned to `last` values.
+fn chain_of_differences(n: usize, d: u32, last: u32) -> CspInstance {
+    let mut p = CspInstance::new(n, d as usize);
+    let differ: Vec<[u32; 2]> = (0..d)
+        .flat_map(|x| (0..d).filter(move |&y| y != x).map(move |y| [x, y]))
+        .collect();
+    let differ = Arc::new(Relation::from_tuples(2, differ.iter()).unwrap());
+    for x in 0..n as u32 - 1 {
+        p.add_constraint(vec![x, x + 1], Arc::clone(&differ))
+            .unwrap();
+    }
+    let pinned: Vec<[u32; 1]> = (0..last).map(|v| [v]).collect();
+    let pinned = Relation::from_tuples(1, pinned.iter()).unwrap();
+    p.add_constraint(vec![n as u32 - 1], Arc::new(pinned))
+        .unwrap();
+    p
+}
+
+/// Under a step limit that covers the run, the parallel bag DP and the
+/// parallel Yannakakis sweep decide exactly as they do unlimited: the
+/// parent plans before it forks its workers and must not keep quota
+/// they need.
+#[test]
+fn parallel_kernels_decide_under_a_limit_that_covers_the_run() {
+    use constraint_db::core::graphs::{clique, complete_bipartite, cycle};
+    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    let cases = [
+        (cycle(6), clique(3)),
+        (cycle(5), clique(3)),
+        (cycle(5), clique(2)),
+        (complete_bipartite(3, 3), clique(2)),
+    ];
+    for (a, b) in &cases {
+        let mut seq_meter = Budget::unlimited().meter();
+        let seq = solve_by_treewidth_metered(a, b, &mut seq_meter, false).unwrap();
+        let mut par_meter = Budget::unlimited().meter();
+        pool.install(|| solve_by_treewidth_metered(a, b, &mut par_meter, true))
+            .unwrap();
+        let steps = seq_meter.usage().steps.max(par_meter.usage().steps);
+        let mut meter = Budget::new().with_step_limit(steps).meter();
+        let par = pool.install(|| solve_by_treewidth_metered(a, b, &mut meter, true));
+        assert_eq!(
+            par,
+            Ok(seq.clone()),
+            "treewidth DP on {a} under {steps} steps"
+        );
+        let mut meter = Budget::new().with_step_limit(steps).meter();
+        let seq_limited = solve_by_treewidth_metered(a, b, &mut meter, false);
+        assert_eq!(
+            seq_limited,
+            Ok(seq),
+            "sequential DP on {a} under {steps} steps"
+        );
+    }
+    for p in [
+        chain_of_differences(40, 3, 3),
+        chain_of_differences(40, 2, 0),
+    ] {
+        let mut seq_meter = Budget::unlimited().meter();
+        let seq = solve_acyclic_metered(&p, &mut seq_meter, false).unwrap();
+        let mut par_meter = Budget::unlimited().meter();
+        pool.install(|| solve_acyclic_metered(&p, &mut par_meter, true))
+            .unwrap();
+        let steps = seq_meter.usage().steps.max(par_meter.usage().steps);
+        let mut meter = Budget::new().with_step_limit(steps).meter();
+        let par = pool.install(|| solve_acyclic_metered(&p, &mut meter, true));
+        assert_eq!(
+            par.map(|w| w.is_some()).ok(),
+            Some(seq.is_some()),
+            "Yannakakis under {steps} steps"
+        );
+    }
+}
+
+/// With `parallel(true)` and a small step limit, the ladder decides a
+/// treewidth-tier instance exactly as the sequential ladder does.
+#[test]
+fn parallel_ladder_decides_like_the_sequential_one_under_a_step_limit() {
+    use constraint_db::core::graphs::{clique, cycle};
+    let (a, b) = (cycle(6), clique(3));
+    for steps in [1024, 4096] {
+        let budget = Budget::new().with_step_limit(steps);
+        let seq = Solver::new().budget(budget.clone()).solve(&a, &b);
+        let par = Solver::new().budget(budget).parallel(true).solve(&a, &b);
+        assert!(
+            seq.answer.is_decided(),
+            "sequential ladder under {steps} steps"
+        );
+        assert_eq!(par.answer, seq.answer, "under {steps} steps");
+        assert_eq!(par.strategy, seq.strategy, "under {steps} steps");
+    }
 }
