@@ -96,7 +96,7 @@ fn loomis_whitney(rng: &mut XorShift, v: u32, n: usize) -> Vec<NamedRelation> {
 fn canonical_rows(rel: &NamedRelation) -> BTreeSet<Vec<u32>> {
     let mut attrs: Vec<u32> = rel.schema().to_vec();
     attrs.sort_unstable();
-    rel.project(&attrs).rows().iter().cloned().collect()
+    rel.project(&attrs).iter().map(<[u32]>::to_vec).collect()
 }
 
 /// Executes the binary pipeline in its planned order, returning the

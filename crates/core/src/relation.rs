@@ -1,22 +1,29 @@
 //! Finite relations: sorted, deduplicated tuple stores.
 //!
 //! A [`Relation`] is a set of tuples of fixed arity over domain elements
-//! encoded as `u32`. Tuples are kept sorted lexicographically and
-//! deduplicated, so membership is a binary search and set equality is a
-//! slice comparison. This representation is shared by relational
-//! structures ([`crate::Structure`]) and by CSP constraint relations.
+//! encoded as `u32`. The rows live in one arity-strided `Vec<u32>`,
+//! sorted lexicographically and deduplicated, so membership is a binary
+//! search, set equality is a slice comparison, and a clone is one buffer
+//! copy. This module is the only code that knows the layout: relational
+//! structures ([`crate::Structure`]), CSP constraint relations and the
+//! named relations of the relational algebra all read rows through
+//! [`Relation::iter`], [`Relation::row`] and [`Relation::partition_point`].
 
 use crate::error::{CoreError, Result};
 use std::fmt;
+use std::ops::Range;
 
 /// A finite relation of fixed arity over `u32`-encoded domain elements.
 ///
-/// Invariants: every tuple has length `arity`, tuples are sorted
-/// lexicographically, and there are no duplicates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Invariants: `data` holds `len` rows of `arity` values each, sorted
+/// lexicographically, with no duplicates. The row count is stored
+/// explicitly because a nullary relation has no values: `len` alone
+/// tells the empty relation (`false`) from `{()}` (`true`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Relation {
     arity: usize,
-    tuples: Vec<Box<[u32]>>,
+    len: usize,
+    data: Vec<u32>,
 }
 
 impl Relation {
@@ -24,7 +31,8 @@ impl Relation {
     pub fn empty(arity: usize) -> Self {
         Relation {
             arity,
-            tuples: Vec::new(),
+            len: 0,
+            data: Vec::new(),
         }
     }
 
@@ -58,7 +66,7 @@ impl Relation {
         I: IntoIterator<Item = T>,
         T: AsRef<[u32]>,
     {
-        let mut out: Vec<Box<[u32]>> = Vec::new();
+        let (mut rows, mut data) = (0, Vec::new());
         for t in tuples {
             let t = t.as_ref();
             if t.len() != arity {
@@ -68,11 +76,34 @@ impl Relation {
                     got: t.len(),
                 });
             }
-            out.push(t.into());
+            data.extend_from_slice(t);
+            rows += 1;
         }
-        out.sort_unstable();
-        out.dedup();
-        Ok(Relation { arity, tuples: out })
+        Ok(Relation::from_flat(arity, rows, data))
+    }
+
+    /// Builds a relation from `rows` rows of `arity` values each, stored
+    /// back to back in `data` in any order, sorting and deduplicating.
+    /// Input that is already sorted and duplicate-free is kept as is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != arity * rows`.
+    pub fn from_flat(arity: usize, rows: usize, data: Vec<u32>) -> Self {
+        assert_eq!(data.len(), arity * rows, "flat buffer must hold whole rows");
+        let rows_of = || data.chunks_exact(arity);
+        let (len, data) = if arity == 0 {
+            // Every nullary row is the empty tuple.
+            (rows.min(1), data)
+        } else if rows_of().zip(rows_of().skip(1)).all(|(a, b)| a < b) {
+            (rows, data)
+        } else {
+            let mut sorted: Vec<&[u32]> = rows_of().collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            (sorted.len(), sorted.concat())
+        };
+        Relation { arity, len, data }
     }
 
     /// The full relation `D^arity` over a domain of the given size.
@@ -80,34 +111,16 @@ impl Relation {
     /// Used for "no constraint" relations and for test oracles; beware the
     /// size is `domain_size^arity`.
     pub fn full(arity: usize, domain_size: usize) -> Self {
-        let mut tuples = Vec::with_capacity(domain_size.pow(arity as u32));
-        let mut current = vec![0u32; arity];
-        if arity == 0 {
-            // A single empty tuple: the nullary "true" relation.
-            return Relation {
-                arity,
-                tuples: vec![Box::from([])],
-            };
+        // Row `k` spells `k` in base `domain_size`, most significant digit
+        // first. At arity 0 that is the single empty tuple: the nullary
+        // "true" relation.
+        let len = domain_size.pow(arity as u32);
+        let mut data = Vec::with_capacity(len * arity);
+        for k in 0..len {
+            let digit = |p: u32| (k / domain_size.pow(p) % domain_size) as u32;
+            data.extend((0..arity as u32).rev().map(digit));
         }
-        if domain_size == 0 {
-            return Relation::empty(arity);
-        }
-        loop {
-            tuples.push(current.clone().into_boxed_slice());
-            // Odometer increment.
-            let mut i = arity;
-            loop {
-                if i == 0 {
-                    return Relation { arity, tuples };
-                }
-                i -= 1;
-                current[i] += 1;
-                if (current[i] as usize) < domain_size {
-                    break;
-                }
-                current[i] = 0;
-            }
-        }
+        Relation { arity, len, data }
     }
 
     /// Arity of the relation.
@@ -119,22 +132,57 @@ impl Relation {
     /// Number of tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// True if the relation has no tuples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
+    }
+
+    /// The `i`-th tuple in lexicographic order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[u32] {
+        assert!(i < self.len, "row index out of range");
+        &self.data[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Binary search over the rows in `rows`: the index of the first
+    /// one that fails `pred`, which must hold on a prefix of the range
+    /// and fail on the rest (as `row < key` does, rows being sorted).
+    pub fn partition_point(&self, mut rows: Range<usize>, pred: impl Fn(&[u32]) -> bool) -> usize {
+        while rows.start < rows.end {
+            let mid = rows.start + (rows.end - rows.start) / 2;
+            if pred(self.row(mid)) {
+                rows.start = mid + 1;
+            } else {
+                rows.end = mid;
+            }
+        }
+        rows.start
+    }
+
+    /// `Ok(i)` if `tuple` is row `i`, otherwise `Err(i)` where `i` is the
+    /// row it would be inserted at.
+    fn search(&self, tuple: &[u32]) -> std::result::Result<usize, usize> {
+        let i = self.partition_point(0..self.len, |row| row < tuple);
+        if i < self.len && self.row(i) == tuple {
+            Ok(i)
+        } else {
+            Err(i)
+        }
     }
 
     /// Membership test (binary search).
     #[inline]
     pub fn contains(&self, tuple: &[u32]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        self.tuples
-            .binary_search_by(|probe| probe.as_ref().cmp(tuple))
-            .is_ok()
+        self.search(tuple).is_ok()
     }
 
     /// Inserts a tuple, keeping the sorted/dedup invariant.
@@ -152,29 +200,32 @@ impl Relation {
                 got: tuple.len(),
             });
         }
-        match self
-            .tuples
-            .binary_search_by(|probe| probe.as_ref().cmp(tuple))
-        {
+        match self.search(tuple) {
             Ok(_) => Ok(false),
             Err(pos) => {
-                self.tuples.insert(pos, tuple.into());
+                let at = pos * self.arity;
+                self.data.splice(at..at, tuple.iter().copied());
+                self.len += 1;
                 Ok(true)
             }
         }
     }
 
     /// Iterates over tuples in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.tuples.iter().map(|t| t.as_ref())
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        // A nullary relation has no values to chunk, so its (at most one)
+        // empty row is cut from a one-element stand-in instead.
+        let (a, data) = match self.arity {
+            0 => (0, &[0][..self.len]),
+            a => (a, self.data.as_slice()),
+        };
+        data.chunks_exact(a.max(1)).map(move |row| &row[..a])
     }
 
     /// Maximum element mentioned in any tuple, or `None` if empty/nullary.
     pub fn max_element(&self) -> Option<u32> {
-        self.tuples
-            .iter()
-            .filter_map(|t| t.iter().copied().max())
-            .max()
+        self.data.iter().copied().max()
     }
 
     /// Set intersection with another relation of the same arity.
@@ -192,24 +243,8 @@ impl Relation {
                 arity: other.arity,
             });
         }
-        // Merge walk over two sorted tuple lists.
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.tuples.len() && j < other.tuples.len() {
-            match self.tuples[i].cmp(&other.tuples[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.tuples[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        Ok(Relation {
-            arity: self.arity,
-            tuples: out,
-        })
+        // Membership in `other` of each row of `self`, in sorted order.
+        Ok(self.filter(|t| other.contains(t)))
     }
 
     /// Set union with another relation of the same arity.
@@ -224,15 +259,11 @@ impl Relation {
                 arity: other.arity,
             });
         }
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        out.extend(self.tuples.iter().cloned());
-        out.extend(other.tuples.iter().cloned());
-        out.sort_unstable();
-        out.dedup();
-        Ok(Relation {
-            arity: self.arity,
-            tuples: out,
-        })
+        Ok(Relation::from_flat(
+            self.arity,
+            self.len + other.len,
+            [self.data.as_slice(), &other.data].concat(),
+        ))
     }
 
     /// Projects the relation onto the given column indices (in the given
@@ -242,17 +273,11 @@ impl Relation {
     ///
     /// Panics if a column index is out of range.
     pub fn project(&self, columns: &[usize]) -> Relation {
-        let mut out: Vec<Box<[u32]>> = self
-            .tuples
-            .iter()
-            .map(|t| columns.iter().map(|&c| t[c]).collect())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        Relation {
-            arity: columns.len(),
-            tuples: out,
+        let mut data = Vec::with_capacity(self.len * columns.len());
+        for t in self.iter() {
+            data.extend(columns.iter().map(|&c| t[c]));
         }
+        Relation::from_flat(columns.len(), self.len, data)
     }
 
     /// Keeps only tuples where columns `i` and `j` agree.
@@ -262,23 +287,17 @@ impl Relation {
     /// Panics if `i` or `j` is out of range.
     pub fn select_eq(&self, i: usize, j: usize) -> Relation {
         assert!(i < self.arity && j < self.arity, "column out of range");
-        Relation {
-            arity: self.arity,
-            tuples: self
-                .tuples
-                .iter()
-                .filter(|t| t[i] == t[j])
-                .cloned()
-                .collect(),
-        }
+        self.filter(|t| t[i] == t[j])
     }
 
     /// Keeps only tuples satisfying the predicate.
     pub fn filter(&self, mut keep: impl FnMut(&[u32]) -> bool) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.iter().filter(|t| keep(t)).cloned().collect(),
+        let mut out = Relation::empty(self.arity);
+        for t in self.iter().filter(|t| keep(t)) {
+            out.data.extend_from_slice(t);
+            out.len += 1;
         }
+        out
     }
 
     /// True if `self ⊆ other` (same arity assumed).
@@ -290,7 +309,7 @@ impl Relation {
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -417,6 +436,29 @@ mod tests {
     fn max_element() {
         assert_eq!(rel(2, &[&[0, 7], &[3, 1]]).max_element(), Some(7));
         assert_eq!(Relation::empty(2).max_element(), None);
+    }
+
+    #[test]
+    fn nullary_false_and_true_differ() {
+        let f = Relation::empty(0);
+        let t = Relation::full(0, 3);
+        assert_eq!((f.len(), t.len()), (0, 1));
+        assert_ne!(f, t);
+        assert_eq!((f.to_string(), t.to_string()), ("{}".into(), "{()}".into()));
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![&[] as &[u32]]);
+        assert_eq!(Relation::from_flat(0, 5, vec![]), t);
+        let mut g = f.clone();
+        assert!(g.insert(&[]).unwrap());
+        assert_eq!(g, t);
+        assert_eq!(t.project(&[]), t);
+        assert_eq!(rel(2, &[]).project(&[]), f);
+    }
+
+    #[test]
+    fn from_flat_sorts_and_dedups() {
+        let r = Relation::from_flat(2, 3, vec![1, 0, 0, 1, 1, 0]);
+        assert_eq!(r, rel(2, &[&[0, 1], &[1, 0]]));
+        assert_eq!(r.row(1), &[1, 0]);
     }
 
     #[test]

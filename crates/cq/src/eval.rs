@@ -128,59 +128,64 @@ pub fn evaluate_by_join_budgeted(
     db: &Structure,
     budget: &Budget,
 ) -> Result<Relation, CqEvalError> {
-    check_compatible(q, db).map_err(CqEvalError::Invalid)?;
+    let relations = atom_relations(q, db).map_err(CqEvalError::Invalid)?;
+    let mut meter = budget.meter();
+    let joined =
+        cspdb_relalg::join_all_metered(&relations, &mut meter).map_err(CqEvalError::Exhausted)?;
+    let vars = q.variables();
+    let dist_attrs: Vec<u32> = q
+        .distinguished
+        .iter()
+        .map(|d| vars.iter().position(|v| v == d).expect("query variable") as u32)
+        .collect();
+    if joined.is_empty() {
+        return Ok(Relation::empty(dist_attrs.len()));
+    }
+    Ok(joined.project(&dist_attrs).into_relation())
+}
+
+/// Lowers each atom of `q` to a [`NamedRelation`] over `db`, attribute
+/// `i` being the `i`-th of [`ConjunctiveQuery::variables`]. An atom that
+/// repeats a variable keeps the tuples that agree on it, in one column.
+///
+/// # Errors
+///
+/// Returns a message if a query predicate is missing from `db` or used
+/// with the wrong arity.
+pub fn atom_relations(q: &ConjunctiveQuery, db: &Structure) -> Result<Vec<NamedRelation>, String> {
+    check_compatible(q, db)?;
     let vars = q.variables();
     let var_index: HashMap<&str, u32> = vars
         .iter()
         .enumerate()
         .map(|(i, &v)| (v, i as u32))
         .collect();
-    let mut relations = Vec::new();
+    let mut relations = Vec::with_capacity(q.atoms.len());
     for atom in &q.atoms {
         let rel = db
             .relation_by_name(&atom.predicate)
-            .map_err(|e| CqEvalError::Invalid(e.to_string()))?;
-        // Distinct attributes: positions of the first occurrence of each
-        // variable; rows must agree on repeated positions.
-        let mut schema: Vec<u32> = Vec::new();
-        let mut first_position: Vec<usize> = Vec::new();
-        for (i, v) in atom.args.iter().enumerate() {
-            let attr = var_index[v.as_str()];
-            if !schema.contains(&attr) {
-                schema.push(attr);
-                first_position.push(i);
-            }
-        }
-        let rows: Vec<Vec<u32>> = rel
-            .iter()
-            .filter_map(|t| {
-                // Check repeated-variable agreement.
-                for (i, v) in atom.args.iter().enumerate() {
-                    let attr = var_index[v.as_str()];
-                    let fp = first_position[schema.iter().position(|&a| a == attr).unwrap()];
-                    if t[fp] != t[i] {
-                        return None;
-                    }
-                }
-                Some(first_position.iter().map(|&i| t[i]).collect::<Vec<u32>>())
+            .map_err(|e| e.to_string())?;
+        // `first[i]`: the argument where the variable at argument `i`
+        // first occurs.
+        let first: Vec<usize> = (0..atom.args.len())
+            .map(|i| {
+                atom.args
+                    .iter()
+                    .position(|w| *w == atom.args[i])
+                    .unwrap_or(i)
             })
             .collect();
-        relations.push(NamedRelation::new(schema, rows));
+        let columns: Vec<usize> = (0..first.len()).filter(|&i| first[i] == i).collect();
+        let schema = columns.iter().map(|&i| var_index[atom.args[i].as_str()]);
+        let lowered = if columns.len() == first.len() {
+            rel.clone()
+        } else {
+            rel.filter(|t| first.iter().enumerate().all(|(i, &f)| t[i] == t[f]))
+                .project(&columns)
+        };
+        relations.push(NamedRelation::from_relation(schema.collect(), lowered));
     }
-    let mut meter = budget.meter();
-    let joined =
-        cspdb_relalg::join_all_metered(&relations, &mut meter).map_err(CqEvalError::Exhausted)?;
-    let dist_attrs: Vec<u32> = q
-        .distinguished
-        .iter()
-        .map(|v| var_index[v.as_str()])
-        .collect();
-    if joined.is_empty() {
-        return Ok(Relation::empty(dist_attrs.len()));
-    }
-    let projected = joined.project(&dist_attrs);
-    Relation::from_tuples_named(&q.name, dist_attrs.len(), projected.rows().iter())
-        .map_err(|e| CqEvalError::Invalid(e.to_string()))
+    Ok(relations)
 }
 
 /// True if the Boolean query holds on `db` (via the join engine).

@@ -34,7 +34,7 @@ pub use canonical::{canonical_database, canonical_query, CanonicalDatabase};
 pub use containment::{are_equivalent, is_contained_in, is_contained_in_by_eval};
 pub use core_query::{are_hom_equivalent, core_retract, minimize, structure_core};
 pub use eval::{
-    boolean_holds, evaluate_by_join, evaluate_by_join_budgeted, evaluate_by_search,
+    atom_relations, boolean_holds, evaluate_by_join, evaluate_by_join_budgeted, evaluate_by_search,
     evaluate_by_search_metered, CqEvalError,
 };
 pub use query::{ConjunctiveQuery, QueryAtom};

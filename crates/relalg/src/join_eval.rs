@@ -29,7 +29,7 @@ pub fn constraint_relations(instance: &CspInstance) -> Vec<NamedRelation> {
     normalized
         .constraints()
         .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
+        .map(|c| NamedRelation::from_relation(c.scope().to_vec(), c.relation().as_ref().clone()))
         .collect()
 }
 
@@ -147,7 +147,7 @@ pub fn solve_by_join_metered(
     if joined.is_empty() {
         return Ok(None);
     }
-    let row = &joined.rows()[0];
+    let row = joined.relation().row(0);
     let mut solution = vec![0u32; instance.num_vars()];
     for (i, &attr) in joined.schema().iter().enumerate() {
         solution[attr as usize] = row[i];

@@ -4,15 +4,21 @@
 //! *attribute*, every constraint scope as a *scheme*, and every
 //! constraint as a relation over that scheme — so that solvability
 //! becomes non-emptiness of the natural join (Proposition 2.1).
-//! [`NamedRelation`] is that view: rows keyed by a schema of distinct
-//! attribute ids.
+//! [`NamedRelation`] is that view: a schema of distinct attribute ids
+//! over a [`Relation`], which owns the rows. The kernels here read rows
+//! through [`Relation::iter`] and [`Relation::row`] and write their
+//! output into one flat buffer that [`Relation::from_flat`] sorts once,
+//! so a constraint relation becomes a named relation without copying
+//! it row by row.
 
 use crate::planner::HashIndex;
 use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
+use cspdb_core::Relation;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::time::Instant;
 
 /// Minimum combined row count before [`NamedRelation::natural_join_parallel`]
 /// bothers spawning workers; below this, partitioning overhead dominates.
@@ -59,69 +65,89 @@ impl JoinPlan {
             schema,
         }
     }
+
+    /// The probe half of every hash join: glues each `left` row to the
+    /// build-side rows that `matches` returns for it, charging one tick
+    /// per left row and one tuple per output row, and returns the output
+    /// row count and the rows, unsorted, in one flat buffer.
+    ///
+    /// Emits one [`TraceEvent::Operator`] of `kind` timed from `span`
+    /// (the tag tells partition joins apart); its `output_rows` equals
+    /// the tuples charged, which the trace-accounting property test
+    /// relies on.
+    fn probe<'a, M: IntoIterator<Item = &'a [u32]>>(
+        &self,
+        left: impl ExactSizeIterator<Item = &'a [u32]>,
+        right_rows: usize,
+        kind: OperatorKind,
+        span: Option<Instant>,
+        meter: &mut Meter,
+        matches: impl Fn(&[u32]) -> M,
+    ) -> Result<(usize, Vec<u32>), ExhaustionReason> {
+        let left_rows = left.len();
+        let (mut rows, mut out) = (0, Vec::new());
+        for row in left {
+            meter.tick()?;
+            for matched in matches(row) {
+                meter.charge_tuples(1)?;
+                out.extend_from_slice(row);
+                out.extend(self.extra.iter().map(|&j| matched[j]));
+                rows += 1;
+            }
+        }
+        meter.tracer().emit_with(|| TraceEvent::Operator {
+            op: kind,
+            left_rows: left_rows as u64,
+            right_rows: right_rows as u64,
+            output_rows: rows as u64,
+            micros: Tracer::span_micros(span),
+        });
+        Ok((rows, out))
+    }
 }
 
-/// Hash-joins `left` against `right` under `plan`, charging the meter
-/// one tick per input row and one tuple per output row. This is the
-/// single join kernel: the sequential, budgeted, and parallel
-/// (per-partition) joins all run exactly this loop.
-///
-/// Emits one [`TraceEvent::Operator`] per completed call (tagged `kind`
-/// so partition joins are distinguishable); its `output_rows` equals
-/// the tuples charged, which the trace-accounting property test relies
-/// on.
-fn join_rows(
-    left: &[Vec<u32>],
-    right: &[Vec<u32>],
+/// Hash-joins the `left` rows against the `right` rows under `plan`:
+/// one tick per `right` row hashed, then [`JoinPlan::probe`]. This is
+/// the single unindexed join kernel: the sequential, budgeted, and
+/// parallel (per-partition) joins all run exactly this loop.
+fn join_rows<'a>(
+    left: impl ExactSizeIterator<Item = &'a [u32]>,
+    right: impl ExactSizeIterator<Item = &'a [u32]>,
     plan: &JoinPlan,
     kind: OperatorKind,
     meter: &mut Meter,
-) -> Result<Vec<Vec<u32>>, ExhaustionReason> {
+) -> Result<(usize, Vec<u32>), ExhaustionReason> {
     let span = meter.tracer().span_start();
-    let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-    for (ri, row) in right.iter().enumerate() {
+    let right_rows = right.len();
+    let mut index: HashMap<Vec<u32>, Vec<&[u32]>> = HashMap::new();
+    for row in right {
         meter.tick()?;
         let key: Vec<u32> = plan.common.iter().map(|&(_, j)| row[j]).collect();
-        index.entry(key).or_default().push(ri);
+        index.entry(key).or_default().push(row);
     }
-    let mut rows = Vec::new();
-    for row in left {
-        meter.tick()?;
+    plan.probe(left, right_rows, kind, span, meter, |row| {
         let key: Vec<u32> = plan.common.iter().map(|&(i, _)| row[i]).collect();
-        if let Some(matches) = index.get(&key) {
-            for &ri in matches {
-                meter.charge_tuples(1)?;
-                let mut out = row.clone();
-                out.extend(plan.extra.iter().map(|&j| right[ri][j]));
-                rows.push(out);
-            }
-        }
-    }
-    meter.tracer().emit_with(|| TraceEvent::Operator {
-        op: kind,
-        left_rows: left.len() as u64,
-        right_rows: right.len() as u64,
-        output_rows: rows.len() as u64,
-        micros: Tracer::span_micros(span),
-    });
-    Ok(rows)
+        index.get(&key).into_iter().flatten().copied()
+    })
 }
 
-/// A relation with named (attribute-labeled) columns. Rows are
-/// deduplicated and kept sorted for canonical equality.
+/// A relation with named (attribute-labeled) columns: a schema of
+/// distinct attributes over a sorted, deduplicated [`Relation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NamedRelation {
     schema: Vec<u32>,
-    rows: Vec<Vec<u32>>,
+    relation: Relation,
 }
 
 impl NamedRelation {
-    /// Creates an empty relation over the given schema.
+    /// Names the columns of `relation` by `schema`, without copying or
+    /// sorting its rows.
     ///
     /// # Panics
     ///
-    /// Panics if the schema repeats an attribute.
-    pub fn empty(schema: Vec<u32>) -> Self {
+    /// Panics if the schema repeats an attribute or its length is not
+    /// the relation's arity.
+    pub fn from_relation(schema: Vec<u32>, relation: Relation) -> Self {
         let mut sorted = schema.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -130,38 +156,40 @@ impl NamedRelation {
             schema.len(),
             "schema attributes must be distinct"
         );
-        NamedRelation {
-            schema,
-            rows: Vec::new(),
-        }
+        assert_eq!(
+            schema.len(),
+            relation.arity(),
+            "schema length must match the relation's arity"
+        );
+        NamedRelation { schema, relation }
     }
 
-    /// Creates a relation from rows.
+    /// Creates an empty relation over the given schema.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schema repeats an attribute.
+    pub fn empty(schema: Vec<u32>) -> Self {
+        let arity = schema.len();
+        NamedRelation::from_relation(schema, Relation::empty(arity))
+    }
+
+    /// Creates a relation from rows, sorting and deduplicating them.
     ///
     /// # Panics
     ///
     /// Panics if the schema repeats an attribute or a row has the wrong
     /// width.
-    pub fn new(schema: Vec<u32>, rows: impl IntoIterator<Item = Vec<u32>>) -> Self {
-        let mut r = NamedRelation::empty(schema);
-        let width = r.schema.len();
-        let mut collected: Vec<Vec<u32>> = rows.into_iter().collect();
-        for row in &collected {
-            assert_eq!(row.len(), width, "row width must match schema");
-        }
-        collected.sort_unstable();
-        collected.dedup();
-        r.rows = collected;
-        r
+    pub fn new(schema: Vec<u32>, rows: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Self {
+        let relation =
+            Relation::from_tuples(schema.len(), rows).expect("row width must match schema");
+        NamedRelation::from_relation(schema, relation)
     }
 
     /// The relation with one empty row over the empty schema — the unit
     /// of natural join.
     pub fn unit() -> Self {
-        NamedRelation {
-            schema: vec![],
-            rows: vec![vec![]],
-        }
+        NamedRelation::from_relation(vec![], Relation::full(0, 0))
     }
 
     /// The schema (attribute ids in column order).
@@ -170,22 +198,32 @@ impl NamedRelation {
         &self.schema
     }
 
-    /// The rows.
+    /// The underlying relation, columns in schema order.
     #[inline]
-    pub fn rows(&self) -> &[Vec<u32>] {
-        &self.rows
+    pub fn relation(&self) -> &Relation {
+        &self.relation
+    }
+
+    /// The underlying relation, dropping the schema.
+    pub fn into_relation(self) -> Relation {
+        self.relation
+    }
+
+    /// The rows, in lexicographic order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.relation.iter()
     }
 
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.relation.len()
     }
 
     /// True if there are no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.relation.is_empty()
     }
 
     /// Column position of attribute `attr`, if present.
@@ -193,11 +231,22 @@ impl NamedRelation {
         self.schema.iter().position(|&a| a == attr)
     }
 
-    /// Checked worst-case output cardinality of `self ⋈ other`
-    /// (`|self| · |other|`); `None` on `u64` overflow. Planners use this
-    /// to refuse joins that cannot fit any tuple budget.
-    pub fn join_size_bound(&self, other: &NamedRelation) -> Option<u64> {
-        (self.rows.len() as u64).checked_mul(other.rows.len() as u64)
+    /// The number of distinct values in each column, in schema order.
+    pub(crate) fn distinct_counts(&self) -> Vec<u64> {
+        (0..self.schema.len())
+            .map(|c| {
+                let mut vals: Vec<u32> = self.iter().map(|row| row[c]).collect();
+                vals.sort_unstable();
+                vals.dedup();
+                vals.len() as u64
+            })
+            .collect()
+    }
+
+    /// Names `rows` rows of flat, unsorted output by `schema`.
+    fn from_flat(schema: Vec<u32>, rows: usize, data: Vec<u32>) -> Self {
+        let relation = Relation::from_flat(schema.len(), rows, data);
+        NamedRelation::from_relation(schema, relation)
     }
 
     /// [`natural_join`](Self::natural_join) under a [`Meter`]: every
@@ -210,14 +259,14 @@ impl NamedRelation {
         meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let plan = JoinPlan::new(self, other);
-        let rows = join_rows(
-            &self.rows,
-            &other.rows,
+        let (rows, data) = join_rows(
+            self.iter(),
+            other.iter(),
             &plan,
             OperatorKind::HashJoin,
             meter,
         )?;
-        Ok(NamedRelation::new(plan.schema, rows))
+        Ok(NamedRelation::from_flat(plan.schema, rows, data))
     }
 
     /// Natural join: rows that agree on all common attributes are glued;
@@ -263,25 +312,14 @@ impl NamedRelation {
             .iter()
             .map(|&a| self.position(a).expect("index key attribute in probe side"))
             .collect();
-        let mut rows = Vec::new();
-        for row in &self.rows {
-            meter.tick()?;
+        let matches = |row: &[u32]| {
             let key: Vec<u32> = probe_pos.iter().map(|&p| row[p]).collect();
-            for &ri in index.probe(&key) {
-                meter.charge_tuples(1)?;
-                let mut out = row.clone();
-                out.extend(plan.extra.iter().map(|&j| other.rows[ri][j]));
-                rows.push(out);
-            }
-        }
-        meter.tracer().emit_with(|| TraceEvent::Operator {
-            op: OperatorKind::HashJoin,
-            left_rows: self.rows.len() as u64,
-            right_rows: other.rows.len() as u64,
-            output_rows: rows.len() as u64,
-            micros: Tracer::span_micros(span),
-        });
-        Ok(NamedRelation::new(plan.schema, rows))
+            let positions = index.probe(&key).iter();
+            positions.map(|&ri| other.relation.row(ri))
+        };
+        let kind = OperatorKind::HashJoin;
+        let (rows, out) = plan.probe(self.iter(), other.len(), kind, span, meter, matches)?;
+        Ok(NamedRelation::from_flat(plan.schema, rows, out))
     }
 
     /// Partitioned parallel natural join under one budget.
@@ -303,7 +341,7 @@ impl NamedRelation {
         meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let threads = rayon::current_num_threads();
-        if threads <= 1 || self.rows.len() + other.rows.len() < PARALLEL_JOIN_MIN_ROWS {
+        if threads <= 1 || self.len() + other.len() < PARALLEL_JOIN_MIN_ROWS {
             return self.natural_join_metered(other, meter);
         }
         let plan = JoinPlan::new(self, other);
@@ -315,38 +353,42 @@ impl NamedRelation {
             // sequential kernel.
             return self.natural_join_metered(other, meter);
         }
-        let results: Result<Vec<Vec<Vec<u32>>>, ExhaustionReason> = {
-            // Hash-partition both sides on the join key; joining
-            // partition i of self with partition i of other is exhaustive
-            // because matching rows share a key, hence a partition.
-            let parts = threads * 4;
-            let mut left: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
-            let mut right: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
-            for row in &self.rows {
-                meter.tick()?;
-                let h = key_hash(plan.common.iter().map(|&(i, _)| row[i]));
-                left[(h % parts as u64) as usize].push(row.clone());
-            }
-            for row in &other.rows {
-                meter.tick()?;
-                let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
-                right[(h % parts as u64) as usize].push(row.clone());
-            }
-            let work: Vec<(usize, Meter)> = (0..parts).map(|p| (p, meter.fork())).collect();
-            work.into_par_iter()
-                .map(|(p, mut m)| {
-                    join_rows(
-                        &left[p],
-                        &right[p],
-                        &plan,
-                        OperatorKind::ParallelHashJoin,
-                        &mut m,
-                    )
-                })
-                .collect()
-        };
-        let rows: Vec<Vec<u32>> = results?.into_iter().flatten().collect();
-        Ok(NamedRelation::new(plan.schema, rows))
+        // Hash-partition both sides on the join key; joining partition
+        // i of self with partition i of other is exhaustive because
+        // matching rows share a key, hence a partition. Partitions
+        // borrow the rows; nothing is copied until the output.
+        let parts = threads * 4;
+        let mut left: Vec<Vec<&[u32]>> = vec![Vec::new(); parts];
+        let mut right: Vec<Vec<&[u32]>> = vec![Vec::new(); parts];
+        for row in self.iter() {
+            meter.tick()?;
+            let h = key_hash(plan.common.iter().map(|&(i, _)| row[i]));
+            left[(h % parts as u64) as usize].push(row);
+        }
+        for row in other.iter() {
+            meter.tick()?;
+            let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
+            right[(h % parts as u64) as usize].push(row);
+        }
+        let work: Vec<(usize, Meter)> = (0..parts).map(|p| (p, meter.fork())).collect();
+        let results: Vec<(usize, Vec<u32>)> = work
+            .into_par_iter()
+            .map(|(p, mut m)| {
+                join_rows(
+                    left[p].iter().copied(),
+                    right[p].iter().copied(),
+                    &plan,
+                    OperatorKind::ParallelHashJoin,
+                    &mut m,
+                )
+            })
+            .collect::<Result<_, ExhaustionReason>>()?;
+        let rows = results.iter().map(|(n, _)| n).sum();
+        let data = results
+            .iter()
+            .map(|(_, data)| data.as_slice())
+            .collect::<Vec<_>>();
+        Ok(NamedRelation::from_flat(plan.schema, rows, data.concat()))
     }
 
     /// Semijoin `self ⋉ other` under a [`Meter`]: one tick
@@ -363,18 +405,13 @@ impl NamedRelation {
         let emit = |meter: &mut Meter, out: u64, span| {
             meter.tracer().emit_with(|| TraceEvent::Operator {
                 op: OperatorKind::Semijoin,
-                left_rows: self.rows.len() as u64,
-                right_rows: other.rows.len() as u64,
+                left_rows: self.len() as u64,
+                right_rows: other.len() as u64,
                 output_rows: out,
                 micros: Tracer::span_micros(span),
             });
         };
-        let common: Vec<(usize, usize)> = self
-            .schema
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| other.position(a).map(|j| (i, j)))
-            .collect();
+        let common = JoinPlan::new(self, other).common;
         if common.is_empty() {
             // Disjoint schemas: cross-product semantics — keep all of
             // `self` iff `other` is nonempty.
@@ -383,30 +420,41 @@ impl NamedRelation {
                 emit(meter, 0, span);
                 Ok(NamedRelation::empty(self.schema.clone()))
             } else {
-                meter.charge_tuples(self.rows.len() as u64)?;
-                emit(meter, self.rows.len() as u64, span);
+                meter.charge_tuples(self.len() as u64)?;
+                emit(meter, self.len() as u64, span);
                 Ok(self.clone())
             };
         }
         let mut keys: HashSet<Vec<u32>> = HashSet::new();
-        for row in &other.rows {
+        for row in other.iter() {
             meter.tick()?;
             keys.insert(common.iter().map(|&(_, j)| row[j]).collect());
         }
-        let mut rows = Vec::new();
-        for row in &self.rows {
-            meter.tick()?;
+        let out = self.retain_metered(meter, |row| {
             let key: Vec<u32> = common.iter().map(|&(i, _)| row[i]).collect();
-            if keys.contains(&key) {
+            keys.contains(&key)
+        })?;
+        emit(meter, out.len() as u64, span);
+        Ok(out)
+    }
+
+    /// The rows of `self` that satisfy `keep`, in order: one tick per
+    /// row tested and one tuple charged per row kept.
+    fn retain_metered(
+        &self,
+        meter: &mut Meter,
+        mut keep: impl FnMut(&[u32]) -> bool,
+    ) -> Result<NamedRelation, ExhaustionReason> {
+        let (mut rows, mut out) = (0, Vec::new());
+        for row in self.iter() {
+            meter.tick()?;
+            if keep(row) {
                 meter.charge_tuples(1)?;
-                rows.push(row.clone());
+                out.extend_from_slice(row);
+                rows += 1;
             }
         }
-        emit(meter, rows.len() as u64, span);
-        Ok(NamedRelation {
-            schema: self.schema.clone(),
-            rows,
-        })
+        Ok(NamedRelation::from_flat(self.schema.clone(), rows, out))
     }
 
     /// [`semijoin_metered`](Self::semijoin_metered) probing a prebuilt
@@ -436,26 +484,18 @@ impl NamedRelation {
             .iter()
             .map(|&a| self.position(a).expect("index key attribute in schema"))
             .collect();
-        let mut rows = Vec::new();
-        for row in &self.rows {
-            meter.tick()?;
+        let out = self.retain_metered(meter, |row| {
             let key: Vec<u32> = probe_pos.iter().map(|&p| row[p]).collect();
-            if !index.probe(&key).is_empty() {
-                meter.charge_tuples(1)?;
-                rows.push(row.clone());
-            }
-        }
+            !index.probe(&key).is_empty()
+        })?;
         meter.tracer().emit_with(|| TraceEvent::Operator {
             op: OperatorKind::Semijoin,
-            left_rows: self.rows.len() as u64,
+            left_rows: self.len() as u64,
             right_rows: index.rows() as u64,
-            output_rows: rows.len() as u64,
+            output_rows: out.len() as u64,
             micros: Tracer::span_micros(span),
         });
-        Ok(NamedRelation {
-            schema: self.schema.clone(),
-            rows,
-        })
+        Ok(out)
     }
 
     /// Semijoin `self ⋉ other`: rows of `self` that join with at least
@@ -475,12 +515,7 @@ impl NamedRelation {
             .iter()
             .map(|&a| self.position(a).expect("attribute in schema"))
             .collect();
-        NamedRelation::new(
-            attrs.to_vec(),
-            self.rows
-                .iter()
-                .map(|row| positions.iter().map(|&p| row[p]).collect()),
-        )
+        NamedRelation::from_relation(attrs.to_vec(), self.relation.project(&positions))
     }
 
     /// Selection: keeps rows where attribute `attr` equals `value`.
@@ -490,15 +525,8 @@ impl NamedRelation {
     /// Panics if the attribute is missing.
     pub fn select_eq(&self, attr: u32, value: u32) -> NamedRelation {
         let p = self.position(attr).expect("attribute in schema");
-        NamedRelation {
-            schema: self.schema.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|row| row[p] == value)
-                .cloned()
-                .collect(),
-        }
+        let relation = self.relation.filter(|row| row[p] == value);
+        NamedRelation::from_relation(self.schema.clone(), relation)
     }
 
     /// Renames attribute `from` to `to`.
@@ -511,19 +539,7 @@ impl NamedRelation {
         let p = self.position(from).expect("attribute in schema");
         let mut schema = self.schema.clone();
         schema[p] = to;
-        NamedRelation {
-            schema,
-            rows: self.rows.clone(),
-        }
-    }
-
-    /// Reads the value of `attr` in `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attribute is missing.
-    pub fn value(&self, row: &[u32], attr: u32) -> u32 {
-        row[self.position(attr).expect("attribute in schema")]
+        NamedRelation::from_relation(schema, self.relation.clone())
     }
 }
 
@@ -536,7 +552,7 @@ impl fmt::Display for NamedRelation {
             }
             write!(f, "x{a}")?;
         }
-        write!(f, "): {} rows", self.rows.len())
+        write!(f, "): {} rows", self.len())
     }
 }
 
@@ -555,7 +571,7 @@ mod tests {
         let s = rel(&[1, 2], &[&[2, 5], &[2, 6], &[9, 9]]);
         let j = r.natural_join(&s);
         assert_eq!(j.schema(), &[0, 1, 2]);
-        assert_eq!(j.rows(), &[vec![1, 2, 5], vec![1, 2, 6]]);
+        assert_eq!(j.iter().collect::<Vec<_>>(), [[1, 2, 5], [1, 2, 6]]);
     }
 
     #[test]
@@ -572,7 +588,7 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[0, 1], &[&[3, 4], &[5, 6]]);
         let j = r.natural_join(&s);
-        assert_eq!(j.rows(), &[vec![3, 4]]);
+        assert_eq!(j.iter().collect::<Vec<_>>(), [[3, 4]]);
     }
 
     #[test]
@@ -595,7 +611,7 @@ mod tests {
     fn semijoin_filters() {
         let r = rel(&[0, 1], &[&[1, 2], &[3, 4]]);
         let s = rel(&[1], &[&[2]]);
-        assert_eq!(r.semijoin(&s).rows(), &[vec![1, 2]]);
+        assert_eq!(r.semijoin(&s).iter().collect::<Vec<_>>(), [[1, 2]]);
         // No common attributes: keep all iff other nonempty.
         let t = rel(&[5], &[&[0]]);
         assert_eq!(r.semijoin(&t), r);
@@ -606,11 +622,11 @@ mod tests {
     #[test]
     fn project_select_rename() {
         let r = rel(&[0, 1], &[&[1, 2], &[1, 3], &[4, 2]]);
-        assert_eq!(r.project(&[0]).rows(), &[vec![1], vec![4]]);
+        assert_eq!(r.project(&[0]).iter().collect::<Vec<_>>(), [[1], [4]]);
         assert_eq!(r.select_eq(1, 2).len(), 2);
         let rn = r.rename(1, 9);
         assert_eq!(rn.schema(), &[0, 9]);
-        assert_eq!(rn.project(&[9]).rows(), &[vec![2], vec![3]]);
+        assert_eq!(rn.project(&[9]).iter().collect::<Vec<_>>(), [[2], [3]]);
     }
 
     #[test]
@@ -622,7 +638,7 @@ mod tests {
     #[test]
     fn rows_dedup() {
         let r = rel(&[0], &[&[1], &[1], &[0]]);
-        assert_eq!(r.rows(), &[vec![0], vec![1]]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [[0], [1]]);
     }
 
     /// Deterministic pseudo-random relation (LCG; no external deps).

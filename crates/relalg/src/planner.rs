@@ -82,19 +82,6 @@ impl JoinOrder {
     }
 }
 
-/// Distinct value count of every column of `rel`, computed in one pass
-/// per column.
-fn distinct_counts(rel: &NamedRelation) -> Vec<u64> {
-    (0..rel.schema().len())
-        .map(|c| {
-            let mut vals: Vec<u32> = rel.rows().iter().map(|row| row[c]).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            vals.len() as u64
-        })
-        .collect()
-}
-
 /// Greedily orders `relations` for a left-deep join pipeline.
 ///
 /// Start from the smallest relation; at every step consider only the
@@ -116,7 +103,10 @@ pub fn plan_join_order(relations: &[NamedRelation]) -> JoinOrder {
     if m == 0 {
         return JoinOrder { steps };
     }
-    let distinct: Vec<Vec<u64>> = relations.iter().map(distinct_counts).collect();
+    let distinct: Vec<Vec<u64>> = relations
+        .iter()
+        .map(NamedRelation::distinct_counts)
+        .collect();
     let mut remaining: Vec<usize> = (0..m).collect();
     let start = remaining
         .iter()
@@ -216,7 +206,7 @@ impl HashIndex {
             .map(|&a| rel.position(a).expect("index key attribute in schema"))
             .collect();
         let mut groups: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for (ri, row) in rel.rows().iter().enumerate() {
+        for (ri, row) in rel.iter().enumerate() {
             meter.tick()?;
             let key: Vec<u32> = positions.iter().map(|&p| row[p]).collect();
             groups.entry(key).or_default().push(ri);

@@ -9,9 +9,9 @@
 //! bind one *attribute* at a time (instead of one relation at a time)
 //! meet that bound. This module implements such an engine:
 //!
-//! * every relation is materialized as a [`TrieView`] — rows with
-//!   columns permuted into a single global attribute order, sorted
-//!   lexicographically, so each attribute level is a sorted run
+//! * every relation is materialized as a [`TrieView`] — its projection
+//!   onto its columns in a single global attribute order, which is
+//!   sorted lexicographically, so each attribute level is a sorted run
 //!   supporting binary-search `seek`;
 //! * [`wcoj_join_with_order`] runs the leapfrog intersection: at each
 //!   level, the relations containing that attribute intersect their
@@ -33,6 +33,7 @@ use crate::named::NamedRelation;
 use crate::planner::{plan_join_order, JoinOrder};
 use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
+use cspdb_core::Relation;
 use cspdb_decomp::Hypergraph;
 use std::collections::HashMap;
 
@@ -219,12 +220,8 @@ pub fn global_attribute_order(relations: &[NamedRelation]) -> Vec<u32> {
     let mut occurrences: HashMap<u32, u32> = HashMap::new();
     let mut min_distinct: HashMap<u32, u64> = HashMap::new();
     for r in relations {
-        for (c, &a) in r.schema().iter().enumerate() {
+        for (&a, d) in r.schema().iter().zip(r.distinct_counts()) {
             *occurrences.entry(a).or_insert(0) += 1;
-            let mut vals: Vec<u32> = r.rows().iter().map(|row| row[c]).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            let d = vals.len() as u64;
             min_distinct
                 .entry(a)
                 .and_modify(|cur| *cur = (*cur).min(d))
@@ -236,19 +233,19 @@ pub fn global_attribute_order(relations: &[NamedRelation]) -> Vec<u32> {
     order
 }
 
-/// One relation's sorted trie view: rows with columns permuted into
-/// global-attribute-order positions and sorted lexicographically, so
-/// the rows matching any bound prefix form one contiguous range and
-/// each level within it is a sorted run.
+/// One relation's sorted trie view: the relation projected onto its
+/// columns in global attribute order. A projection is sorted
+/// lexicographically, so the rows matching any bound prefix form one
+/// contiguous range and each level within it is a sorted run.
 struct TrieView {
-    rows: Vec<Vec<u32>>,
+    rows: Relation,
     /// For each global level, the column (depth) this relation binds
     /// there, or `None` when the attribute is absent from its schema.
     depth_at_level: Vec<Option<usize>>,
 }
 
 impl TrieView {
-    /// Builds the view (one metered tick per row materialized).
+    /// Builds the view (one metered tick per input row).
     fn build(
         rel: &NamedRelation,
         attr_order: &[u32],
@@ -268,12 +265,11 @@ impl TrieView {
             .map(|(c, a)| (level_of[a], c))
             .collect();
         cols.sort_unstable();
-        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(rel.len());
-        for row in rel.rows() {
+        for _ in 0..rel.len() {
             meter.tick()?;
-            rows.push(cols.iter().map(|&(_, c)| row[c]).collect());
         }
-        rows.sort_unstable();
+        let columns: Vec<usize> = cols.iter().map(|&(_, c)| c).collect();
+        let rows = rel.relation().project(&columns);
         let mut depth_at_level = vec![None; attr_order.len()];
         for (depth, &(level, _)) in cols.iter().enumerate() {
             depth_at_level[level] = Some(depth);
@@ -342,7 +338,7 @@ pub fn wcoj_join_with_order(
     let mut ranges: Vec<(usize, usize)> = views.iter().map(|v| (0, v.rows.len())).collect();
     let mut matches = vec![0u64; attr_order.len()];
     let mut prefix: Vec<u32> = Vec::with_capacity(attr_order.len());
-    let mut out: Vec<Vec<u32>> = Vec::new();
+    let mut out: Vec<u32> = Vec::new();
     leapfrog(
         &views,
         &participants,
@@ -353,7 +349,9 @@ pub fn wcoj_join_with_order(
         &mut out,
         meter,
     )?;
-    let output_rows = out.len() as u64;
+    // The deepest level's matches are the output rows; with no levels,
+    // the empty binding is the one output row.
+    let output_rows = matches.last().map_or(1, |&m| m);
     let input_rows: u64 = inputs.iter().map(|r| r.len() as u64).sum();
     for (l, &attr) in attr_order.iter().enumerate() {
         meter.tracer().emit_with(|| TraceEvent::WcojLevel {
@@ -373,7 +371,8 @@ pub fn wcoj_join_with_order(
         output_rows,
         micros: Tracer::span_micros(span),
     });
-    Ok(NamedRelation::new(attr_order.to_vec(), out))
+    let relation = Relation::from_flat(attr_order.len(), output_rows as usize, out);
+    Ok(NamedRelation::from_relation(attr_order.to_vec(), relation))
 }
 
 /// The recursive leapfrog intersection: at `level`, the participating
@@ -388,12 +387,12 @@ fn leapfrog(
     ranges: &mut [(usize, usize)],
     prefix: &mut Vec<u32>,
     matches: &mut [u64],
-    out: &mut Vec<Vec<u32>>,
+    out: &mut Vec<u32>,
     meter: &mut Meter,
 ) -> Result<(), ExhaustionReason> {
     if level == participants.len() {
         meter.charge_tuples(1)?;
-        out.push(prefix.clone());
+        out.extend_from_slice(prefix);
         return Ok(());
     }
     let parts = &participants[level];
@@ -405,7 +404,7 @@ fn leapfrog(
         .iter()
         .map(|&p| {
             let depth = views[p].depth_at_level[level].expect("participant binds level");
-            views[p].rows[ranges[p].0][depth]
+            views[p].rows.row(ranges[p].0)[depth]
         })
         .max()
         .expect("an attribute occurs in at least one relation");
@@ -419,12 +418,12 @@ fn leapfrog(
             let (lo, hi) = ranges[p];
             // Seek: first row in range with row[depth] >= x. The rows
             // share the bound prefix, so the level column is sorted.
-            let seek = lo + views[p].rows[lo..hi].partition_point(|row| row[depth] < x);
+            let seek = views[p].rows.partition_point(lo..hi, |row| row[depth] < x);
             if seek == hi {
                 break 'outer Ok(()); // some participant exhausted: done
             }
             ranges[p].0 = seek;
-            let v = views[p].rows[seek][depth];
+            let v = views[p].rows.row(seek)[depth];
             if v > x {
                 x = v;
                 aligned = false;
@@ -441,7 +440,7 @@ fn leapfrog(
         for &p in parts {
             let depth = views[p].depth_at_level[level].expect("participant binds level");
             let (lo, hi) = ranges[p];
-            let end = lo + views[p].rows[lo..hi].partition_point(|row| row[depth] == x);
+            let end = views[p].rows.partition_point(lo..hi, |row| row[depth] == x);
             blocks.push(end);
             ranges[p] = (lo, end);
         }
@@ -493,7 +492,7 @@ mod tests {
     fn canon(rel: &NamedRelation) -> std::collections::BTreeSet<Vec<u32>> {
         let mut attrs: Vec<u32> = rel.schema().to_vec();
         attrs.sort_unstable();
-        rel.project(&attrs).rows().iter().cloned().collect()
+        rel.project(&attrs).iter().map(<[u32]>::to_vec).collect()
     }
 
     #[test]

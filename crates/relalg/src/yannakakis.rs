@@ -14,6 +14,7 @@
 //! which the same machinery then solves — the Gottlob–Leone–Scarcello
 //! route to tractability cited at the end of Section 6.
 
+use crate::join_eval::constraint_relations;
 use crate::named::NamedRelation;
 use crate::planner::{common_attrs, IndexCache, INDEX_CACHE_CAPACITY};
 use cspdb_core::budget::{ExhaustionReason, Meter};
@@ -125,7 +126,6 @@ fn assemble_witness(
         meter.tick()?;
         let rel = &rels[node];
         let row = rel
-            .rows()
             .iter()
             .find(|row| {
                 rel.schema()
@@ -383,13 +383,8 @@ pub fn solve_acyclic_metered(
     if instance.num_vars() > 0 && instance.num_values() == 0 {
         return Ok(None);
     }
-    let normalized = instance.normalize_distinct().consolidate();
-    let rels: Vec<NamedRelation> = normalized
-        .constraints()
-        .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
-        .collect();
-    let mut hg = Hypergraph::new(normalized.num_vars());
+    let rels = constraint_relations(instance);
+    let mut hg = Hypergraph::new(instance.num_vars());
     for r in &rels {
         hg.add_edge(r.schema().iter().copied());
     }
@@ -399,7 +394,7 @@ pub fn solve_acyclic_metered(
     } else {
         solve_along_forest_metered
     };
-    let sol = sweep(rels, &jt.parent, normalized.num_vars(), meter)
+    let sol = sweep(rels, &jt.parent, instance.num_vars(), meter)
         .map_err(AcyclicSolveError::Exhausted)?;
     if let Some(ref s) = sol {
         debug_assert!(instance.is_solution(s));
@@ -456,7 +451,7 @@ pub fn solve_with_hypertree(
     let fact_rels: Vec<NamedRelation> = instance
         .constraints()
         .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
+        .map(|c| NamedRelation::from_relation(c.scope().to_vec(), c.relation().as_ref().clone()))
         .collect();
     if fact_rels.len() != hg.num_edges() {
         return Err("internal: fact/edge count mismatch".into());

@@ -32,9 +32,11 @@ use cspdb_core::budget::{Budget, CancelToken};
 use cspdb_core::faults::{FaultHandle, FaultSite};
 use cspdb_core::trace::{TraceEvent, TraceSink, Tracer};
 use cspdb_core::{Answer, Relation, Structure, VocabularyBuilder};
-use cspdb_cq::{evaluate_by_join_budgeted, is_contained_in, ConjunctiveQuery, CqEvalError};
+use cspdb_cq::{
+    atom_relations, evaluate_by_join_budgeted, is_contained_in, ConjunctiveQuery, CqEvalError,
+};
 use cspdb_ivm::{Delta, IvmError, MaterializedView, ViewSet};
-use cspdb_relalg::{estimated_join_peak, NamedRelation};
+use cspdb_relalg::estimated_join_peak;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1044,8 +1046,9 @@ fn record_completion(inner: &Inner, response: &Response, micros: u64) {
 
 /// Routes a data-plane request: `contain`/`solve` are NP-hard and
 /// always heavy; `cq` is heavy when the planner's estimated peak
-/// intermediate cardinality exceeds the threshold. Unparsable requests
-/// stay on the normal lane — the worker will produce the error cheaply.
+/// intermediate cardinality exceeds the threshold. Unparsable requests,
+/// and queries that do not fit their database, stay on the normal lane —
+/// the worker will produce the error cheaply.
 fn classify(inner: &Inner, body: &RequestBody) -> usize {
     match body {
         RequestBody::Contain { .. } | RequestBody::Solve { .. } => HEAVY,
@@ -1056,52 +1059,14 @@ fn classify(inner: &Inner, body: &RequestBody) -> usize {
             let Some((_, structure)) = inner.catalog.get(db) else {
                 return NORMAL;
             };
-            match estimate_peak(&q, &structure) {
-                Some(peak) if peak > inner.heavy_threshold => HEAVY,
+            // The peak under whichever engine the cost gate would pick.
+            match atom_relations(&q, &structure) {
+                Ok(rels) if estimated_join_peak(&rels) > inner.heavy_threshold => HEAVY,
                 _ => NORMAL,
             }
         }
         _ => NORMAL,
     }
-}
-
-/// The estimated peak intermediate cardinality for evaluating `q` on
-/// `db` under whichever join engine the cost gate would pick — the
-/// binary planner's peak estimate, or the AGM output bound when the
-/// worst-case-optimal engine takes the query (`None` when the query
-/// doesn't fit the database — the worker will report the real error).
-fn estimate_peak(q: &ConjunctiveQuery, db: &Structure) -> Option<u64> {
-    let vars = q.variables();
-    let var_index: HashMap<&str, u32> = vars
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    let mut relations = Vec::with_capacity(q.atoms.len());
-    for atom in &q.atoms {
-        let rel = db.relation_by_name(&atom.predicate).ok()?;
-        if rel.arity() != atom.args.len() {
-            return None;
-        }
-        // Estimation-only lowering: project to the first occurrence of
-        // each variable (repeated-variable filtering only shrinks the
-        // real input, so this upper-bounds the evaluated relation).
-        let mut schema: Vec<u32> = Vec::new();
-        let mut first_position: Vec<usize> = Vec::new();
-        for (i, v) in atom.args.iter().enumerate() {
-            let attr = var_index[v.as_str()];
-            if !schema.contains(&attr) {
-                schema.push(attr);
-                first_position.push(i);
-            }
-        }
-        let rows: Vec<Vec<u32>> = rel
-            .iter()
-            .map(|t| first_position.iter().map(|&i| t[i]).collect())
-            .collect();
-        relations.push(NamedRelation::new(schema, rows));
-    }
-    Some(estimated_join_peak(&relations))
 }
 
 fn run_control(inner: &Inner, body: &RequestBody) -> Outcome {

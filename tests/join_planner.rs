@@ -151,7 +151,7 @@ fn star_workload(rng: &mut XorShift) -> Vec<NamedRelation> {
 fn canonical_rows(rel: &NamedRelation) -> BTreeSet<Vec<u32>> {
     let mut attrs: Vec<u32> = rel.schema().to_vec();
     attrs.sort_unstable();
-    rel.project(&attrs).rows().iter().cloned().collect()
+    rel.project(&attrs).iter().map(<[u32]>::to_vec).collect()
 }
 
 /// Left-deep fold in the given order, tracking the peak intermediate

@@ -5,6 +5,10 @@
 use constraint_db::core::{is_homomorphism, CspInstance, PartialHom, Relation};
 use constraint_db::relalg::NamedRelation;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Strategy: a relation of the given arity over values `0..d`.
@@ -79,9 +83,9 @@ proptest! {
         prop_assert!(s.len() <= a.len());
         // Semijoin equals projection of the join onto a's schema.
         let join_proj = a.natural_join(&b).project(&[0, 1]);
-        let s_rows: std::collections::BTreeSet<_> = s.rows().iter().cloned().collect();
+        let s_rows: std::collections::BTreeSet<_> = s.iter().map(<[u32]>::to_vec).collect();
         let j_rows: std::collections::BTreeSet<_> =
-            join_proj.rows().iter().cloned().collect();
+            join_proj.iter().map(<[u32]>::to_vec).collect();
         prop_assert_eq!(s_rows, j_rows);
     }
 
@@ -349,4 +353,103 @@ proptest! {
             q.solve_brute_force().is_some()
         );
     }
+}
+
+// ---- Relation against a set-of-rows model, at arities 0–4 ----
+
+/// The model a [`Relation`] must agree with: a set of rows.
+type Model = BTreeSet<Vec<u32>>;
+
+/// Strategy: up to 8 raw rows of width 4 over `0..3`; a test cuts each
+/// row to the arity it is checking, so duplicates are common.
+fn raw_rows() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    prop::collection::vec(prop::collection::vec(0..3u32, 4), 0..=8)
+}
+
+/// The raw rows cut to `arity`, in generation order.
+fn cut(arity: usize, raw: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    raw.iter().map(|r| r[..arity].to_vec()).collect()
+}
+
+/// `rel` has exactly the model's rows: same count, same lexicographic
+/// iteration order, membership of each, and the `{(a,b), ...}` text.
+fn agrees(rel: &Relation, model: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rel.len(), model.len());
+    prop_assert_eq!(rel.is_empty(), model.is_empty());
+    let rows: Vec<Vec<u32>> = rel.iter().map(<[u32]>::to_vec).collect();
+    prop_assert_eq!(&rows, &model.iter().cloned().collect::<Vec<_>>());
+    for t in model {
+        prop_assert!(rel.contains(t), "missing {:?}", t);
+    }
+    let shown: Vec<String> = model
+        .iter()
+        .map(|t| {
+            let vals: Vec<String> = t.iter().map(u32::to_string).collect();
+            format!("({})", vals.join(","))
+        })
+        .collect();
+    prop_assert_eq!(rel.to_string(), format!("{{{}}}", shown.join(", ")));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn relation_agrees_with_set_model(
+        arity in 0..5usize,
+        ra in raw_rows(),
+        rb in raw_rows(),
+        probe in prop::collection::vec(0..3u32, 4),
+    ) {
+        let (ta, tb) = (cut(arity, &ra), cut(arity, &rb));
+        let ma: Model = ta.iter().cloned().collect();
+        let mb: Model = tb.iter().cloned().collect();
+        let a = Relation::from_tuples(arity, &ta).unwrap();
+        let b = Relation::from_tuples(arity, &tb).unwrap();
+        agrees(&a, &ma)?;
+        agrees(&b, &mb)?;
+        prop_assert_eq!(a == b, ma == mb);
+        prop_assert_eq!(a.contains(&probe[..arity]), ma.contains(&probe[..arity]));
+
+        let mut grown = a.clone();
+        let mut model = ma.clone();
+        for t in &tb {
+            prop_assert_eq!(grown.insert(t).unwrap(), model.insert(t.clone()));
+        }
+        agrees(&grown, &model)?;
+        agrees(&a.union(&b).unwrap(), &(&ma | &mb))?;
+        agrees(&a.intersect(&b).unwrap(), &(&ma & &mb))?;
+        prop_assert_eq!(a.is_subset_of(&b), ma.is_subset(&mb));
+
+        // Columns reversed, then the first column again; none at arity 0.
+        let cols: Vec<usize> = (0..arity).rev().chain((arity > 0).then_some(0)).collect();
+        let projected: Model = ma.iter().map(|t| cols.iter().map(|&c| t[c]).collect()).collect();
+        agrees(&a.project(&cols), &projected)?;
+        let nullary: Model = ma.iter().map(|_| Vec::new()).collect();
+        agrees(&a.project(&[]), &nullary)?;
+        if arity >= 2 {
+            let diagonal: Model = ma.iter().filter(|t| t[0] == t[arity - 1]).cloned().collect();
+            agrees(&a.select_eq(0, arity - 1), &diagonal)?;
+        }
+        let even = |t: &[u32]| t.iter().sum::<u32>() % 2 == 0;
+        let kept: Model = ma.iter().filter(|t| even(t)).cloned().collect();
+        agrees(&a.filter(even), &kept)?;
+    }
+}
+
+#[test]
+fn nullary_false_and_true_stay_distinct() {
+    let hash = |r: &Relation| {
+        let mut h = DefaultHasher::new();
+        r.hash(&mut h);
+        h.finish()
+    };
+    let (f, t) = (Relation::empty(0), Relation::full(0, 2));
+    assert_eq!((f.len(), t.len()), (0, 1));
+    assert_ne!(f, t);
+    assert_ne!(hash(&f), hash(&t));
+    assert_eq!((f.to_string(), t.to_string()), ("{}".into(), "{()}".into()));
+    assert_eq!(NamedRelation::unit().relation(), &t);
+    assert_eq!(NamedRelation::empty(vec![]).relation(), &f);
 }

@@ -449,3 +449,47 @@ fn storage_delta_streams_survive_single_bit_flips() {
         }
     }
 }
+
+/// The fixed structure behind the golden-bytes test: a binary relation
+/// given out of order, an empty unary relation, and both nullary
+/// relations (`{()}` and the empty one).
+fn golden_structure() -> Structure {
+    let mut b = VocabularyBuilder::new();
+    for (name, arity) in [("E", 2), ("P", 1), ("T", 0), ("F", 0)] {
+        b.add_or_get(name, arity).unwrap();
+    }
+    let mut s = Structure::new(b.finish(), 3);
+    for t in [[2, 0], [0, 1], [1, 2]] {
+        s.insert_by_name("E", &t).unwrap();
+    }
+    s.insert_by_name("T", &[]).unwrap();
+    s
+}
+
+/// Database payloads are byte-stable: the golden structure encodes to
+/// the bytes the codec has always written, so data directories written
+/// by earlier builds still replay, and the bytes decode back to it.
+#[test]
+fn storage_db_payload_bytes_are_stable() {
+    let s = golden_structure();
+    let payload = encode_db_payload("g", 7, &s);
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        1, // database record tag
+        7, 0, 0, 0, 0, 0, 0, 0, // version
+        1, 0, 0, 0, b'g', // name
+        3, 0, 0, 0, 0, 0, 0, 0, // domain size
+        4, 0, 0, 0, // relation count
+        1, 0, 0, 0, b'E', 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // E: arity 2, 3 rows
+        0, 0, 0, 0, 1, 0, 0, 0, // (0,1)
+        1, 0, 0, 0, 2, 0, 0, 0, // (1,2)
+        2, 0, 0, 0, 0, 0, 0, 0, // (2,0)
+        1, 0, 0, 0, b'P', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // P: arity 1, no rows
+        1, 0, 0, 0, b'T', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, // T: {()}
+        1, 0, 0, 0, b'F', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // F: empty
+    ];
+    assert_eq!(payload, golden);
+    let (name, version, got) = decode_db_payload(&payload).expect("golden payload decodes");
+    assert_eq!((name.as_str(), version), ("g", 7));
+    assert_eq!(got, s);
+}
