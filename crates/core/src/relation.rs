@@ -211,6 +211,24 @@ impl Relation {
         }
     }
 
+    /// Removes a tuple, keeping the sorted/dedup invariant.
+    ///
+    /// Returns `true` if the tuple was present. A tuple of the wrong
+    /// length is never present.
+    pub fn remove(&mut self, tuple: &[u32]) -> bool {
+        if tuple.len() != self.arity {
+            return false;
+        }
+        match self.search(tuple) {
+            Ok(pos) => {
+                self.data.drain(pos * self.arity..(pos + 1) * self.arity);
+                self.len -= 1;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     /// Iterates over tuples in lexicographic order.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
@@ -259,11 +277,26 @@ impl Relation {
                 arity: other.arity,
             });
         }
-        Ok(Relation::from_flat(
-            self.arity,
-            self.len + other.len,
-            [self.data.as_slice(), &other.data].concat(),
-        ))
+        // Both sides are sorted and duplicate-free: merge them.
+        let mut out = Relation::empty(self.arity);
+        out.data.reserve(self.data.len() + other.data.len());
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        loop {
+            let row = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if x < y => a.next(),
+                (Some(x), Some(y)) if x > y => b.next(),
+                (Some(_), Some(_)) => {
+                    b.next();
+                    a.next()
+                }
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            let Some(row) = row else { break };
+            out.data.extend_from_slice(row);
+            out.len += 1;
+        }
+        Ok(out)
     }
 
     /// Projects the relation onto the given column indices (in the given
@@ -380,6 +413,18 @@ mod tests {
     }
 
     #[test]
+    fn remove_keeps_rows_sorted() {
+        let mut r = rel(2, &[&[0, 1], &[1, 0], &[2, 2]]);
+        assert!(r.remove(&[1, 0]));
+        assert!(!r.remove(&[1, 0]));
+        assert!(!r.remove(&[2]));
+        assert_eq!(r, rel(2, &[&[0, 1], &[2, 2]]));
+        let mut unit = Relation::full(0, 1);
+        assert!(unit.remove(&[]));
+        assert!(unit.is_empty());
+    }
+
+    #[test]
     fn full_relation_has_expected_size() {
         let r = Relation::full(2, 3);
         assert_eq!(r.len(), 9);
@@ -406,6 +451,14 @@ mod tests {
         let a = rel(1, &[&[0], &[2]]);
         let b = rel(1, &[&[1], &[2]]);
         assert_eq!(a.union(&b).unwrap(), rel(1, &[&[0], &[1], &[2]]));
+        let c = rel(2, &[&[0, 5], &[3, 1], &[3, 4]]);
+        let d = rel(2, &[&[0, 5], &[1, 1], &[3, 2], &[9, 0]]);
+        let both = rel(2, &[&[0, 5], &[1, 1], &[3, 1], &[3, 2], &[3, 4], &[9, 0]]);
+        assert_eq!(c.union(&d).unwrap(), both);
+        assert_eq!(d.union(&c).unwrap(), both);
+        let unit = Relation::full(0, 1);
+        assert_eq!(unit.union(&Relation::empty(0)).unwrap(), unit);
+        assert_eq!(unit.union(&unit).unwrap(), unit);
     }
 
     #[test]

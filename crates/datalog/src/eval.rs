@@ -13,6 +13,7 @@ use crate::ast::{Program, Rule, Term};
 use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{Relation, Structure};
+use cspdb_relalg::{body_variable_order, for_each_body_valuation, BodyAtom, BodyTerm, TrieCache};
 use std::collections::HashMap;
 
 /// Error from budgeted evaluation: either the program/EDB pair is
@@ -77,9 +78,10 @@ pub fn evaluate(program: &Program, edb: &Structure) -> Result<Evaluation, String
     })
 }
 
-/// [`evaluate`] under a [`Meter`]: one step is ticked per EDB/IDB tuple
-/// scanned while matching rule bodies, and every newly derived fact is
-/// charged against the tuple cap, so both runaway recursion and runaway
+/// [`evaluate`] under a [`Meter`]: rule bodies run on the rule-body
+/// kernel, which ticks one step per trie row built and per seek and
+/// charges one tuple per valuation — every derivation, so at least one
+/// per derived fact — so both runaway recursion and runaway
 /// materialization abort instead of hanging. The caller keeps the
 /// meter, so resource usage (and the tracer it carries) stays readable
 /// afterwards. Emits one [`TraceEvent::DatalogIteration`] per semi-naive
@@ -126,8 +128,7 @@ pub fn evaluate_metered(
             }
         }
     }
-    // Resolve EDB relations.
-    let mut edb_rels: HashMap<&str, &Relation> = HashMap::new();
+    // Check the EDB relations.
     for pred in program.edb_predicates() {
         let rel = edb.relation_by_name(pred).map_err(|_| {
             EvalError::Invalid(format!("EDB predicate {pred} missing from structure"))
@@ -139,99 +140,162 @@ pub fn evaluate_metered(
                 arity[pred]
             )));
         }
-        edb_rels.insert(pred, rel);
     }
-    // IDB state.
+    let rules = program
+        .rules
+        .iter()
+        .map(CompiledRule::new)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(EvalError::Invalid)?;
     let mut full: HashMap<String, Relation> = idb
         .iter()
         .map(|&p| (p.to_owned(), Relation::empty(arity[p])))
         .collect();
-    let mut delta: HashMap<String, Relation> = full.clone();
-
-    // Iteration 0: all rules against (empty) IDBs — fires EDB-only rules.
-    let mut derived_facts = 0usize;
-    for rule in &program.rules {
-        let before = derived_facts;
-        fire_rule(rule, &edb_rels, &full, None, meter, &mut |pred, tuple| {
-            let rel = delta.get_mut(pred).expect("head is IDB");
-            if rel.insert(tuple).expect("arity checked") {
-                derived_facts += 1;
-            }
-        })?;
-        meter.charge_tuples((derived_facts - before) as u64)?;
-    }
-    for (p, d) in &delta {
-        let merged = full[p].union(d).expect("same arity");
-        full.insert(p.clone(), merged);
-    }
+    // Iteration 0: every rule against the EDB and the empty IDBs, which
+    // fires the EDB-only rules; semi-naive rounds continue from there.
+    let mut tries = TrieCache::new();
+    let derived = fire_rules(&rules, edb, &full, None, &mut tries, meter)?;
+    let delta = absorb(&mut full, derived, &mut tries);
+    let mut derived_facts: usize = delta.values().map(Relation::len).sum();
     meter.tracer().emit_with(|| TraceEvent::DatalogIteration {
         iteration: 0,
         delta_facts: derived_facts as u64,
         total_facts: derived_facts as u64,
     });
-
     let mut iterations = 1usize;
-    loop {
-        let before_iter = derived_facts;
-        let mut new_delta: HashMap<String, Relation> = idb
-            .iter()
-            .map(|&p| (p.to_owned(), Relation::empty(arity[p])))
-            .collect();
-        let mut any = false;
-        for rule in &program.rules {
-            // Positions of IDB atoms in the body.
-            let idb_positions: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| idb.contains(a.predicate.as_str()))
-                .map(|(i, _)| i)
-                .collect();
-            for &pos in &idb_positions {
-                let delta_rel = &delta[rule.body[pos].predicate.as_str()];
-                if delta_rel.is_empty() {
-                    continue;
-                }
-                let before = derived_facts;
-                fire_rule(
-                    rule,
-                    &edb_rels,
-                    &full,
-                    Some((pos, delta_rel)),
-                    meter,
-                    &mut |pred, tuple| {
-                        if !full[pred].contains(tuple) {
-                            let rel = new_delta.get_mut(pred).expect("head is IDB");
-                            if rel.insert(tuple).expect("arity checked") {
-                                derived_facts += 1;
-                                any = true;
-                            }
-                        }
-                    },
-                )?;
-                meter.charge_tuples((derived_facts - before) as u64)?;
-            }
-        }
-        if !any {
-            break;
-        }
-        for (p, d) in &new_delta {
-            let merged = full[p].union(d).expect("same arity");
-            full.insert(p.clone(), merged);
-        }
-        delta = new_delta;
-        meter.tracer().emit_with(|| TraceEvent::DatalogIteration {
-            iteration: iterations as u64,
-            delta_facts: (derived_facts - before_iter) as u64,
-            total_facts: derived_facts as u64,
-        });
-        iterations += 1;
-    }
+    let tracer = meter.tracer().clone();
+    saturate(
+        &rules,
+        edb,
+        &mut full,
+        delta,
+        &mut tries,
+        meter,
+        &mut |new| {
+            derived_facts += new;
+            tracer.emit_with(|| TraceEvent::DatalogIteration {
+                iteration: iterations as u64,
+                delta_facts: new as u64,
+                total_facts: derived_facts as u64,
+            });
+            iterations += 1;
+        },
+    )?;
     Ok(Evaluation {
         relations: full,
         iterations,
         derived_facts,
     })
+}
+
+/// Runs semi-naive rounds from `delta` to the least fixpoint. Each round
+/// fires every rule once per body atom over a predicate with new facts,
+/// pinned to them ([`fire_rules`]), and adds the derived facts missing
+/// from `idb` to it; they are the next round's `delta`. `delta` starts
+/// as any EDB or IDB facts new to the fixpoint that `idb` holds.
+/// `on_round` receives each productive round's count of new facts.
+///
+/// # Errors
+///
+/// As [`fire_rules`].
+pub fn saturate(
+    rules: &[CompiledRule],
+    edb: &Structure,
+    idb: &mut HashMap<String, Relation>,
+    mut delta: HashMap<String, Relation>,
+    tries: &mut TrieCache,
+    meter: &mut Meter,
+    on_round: &mut dyn FnMut(usize),
+) -> Result<(), EvalError> {
+    while !delta.is_empty() {
+        let derived = fire_rules(rules, edb, idb, Some(&delta), tries, meter)?;
+        delta = absorb(idb, derived, tries);
+        if !delta.is_empty() {
+            on_round(delta.values().map(Relation::len).sum());
+        }
+    }
+    Ok(())
+}
+
+/// One round of rule firings: each rule fires once (`delta` `None`), or
+/// once per body atom over a predicate of `delta`, pinned to its facts.
+/// The other atoms range over `idb` for IDB predicates and `edb`
+/// otherwise, and their trie views are kept in `tries` under the
+/// predicate's name: whoever changes a relation forgets its views.
+/// Returns the derived head facts by predicate.
+///
+/// # Errors
+///
+/// [`EvalError::Invalid`] when a body predicate is in neither `idb` nor
+/// `edb`; [`EvalError::Exhausted`] when the meter runs out.
+pub fn fire_rules<'r>(
+    rules: impl IntoIterator<Item = &'r CompiledRule>,
+    edb: &Structure,
+    idb: &HashMap<String, Relation>,
+    delta: Option<&HashMap<String, Relation>>,
+    tries: &mut TrieCache,
+    meter: &mut Meter,
+) -> Result<HashMap<String, Relation>, EvalError> {
+    let mut derived: HashMap<&str, (usize, usize, Vec<u32>)> = HashMap::new();
+    for rule in rules {
+        let mut sources = Vec::with_capacity(rule.body_preds.len());
+        for pred in &rule.body_preds {
+            let rel = match idb.get(pred) {
+                Some(rel) => rel,
+                None => edb.relation_by_name(pred).map_err(|_| {
+                    EvalError::Invalid(format!("EDB predicate {pred} missing from structure"))
+                })?,
+            };
+            sources.push((rel, Some(pred.as_str())));
+        }
+        let (_, rows, data) =
+            derived
+                .entry(&rule.head_pred)
+                .or_insert((rule.head.len(), 0, Vec::new()));
+        let mut collect = |t: &[u32]| {
+            data.extend_from_slice(t);
+            *rows += 1;
+        };
+        let Some(delta) = delta else {
+            rule.fire(&sources, None, tries, meter, &mut collect)?;
+            continue;
+        };
+        for pos in 0..sources.len() {
+            let Some(new) = delta.get(&rule.body_preds[pos]) else {
+                continue;
+            };
+            let unpinned = std::mem::replace(&mut sources[pos], (new, None));
+            rule.fire(&sources, Some(pos), tries, meter, &mut collect)?;
+            sources[pos] = unpinned;
+        }
+    }
+    Ok(derived
+        .into_iter()
+        .map(|(pred, (arity, rows, data))| {
+            (pred.to_owned(), Relation::from_flat(arity, rows, data))
+        })
+        .collect())
+}
+
+/// Adds the `derived` facts missing from `idb` to it, forgets the trie
+/// views of every IDB that changed, and returns the added facts by
+/// predicate (only non-empty ones).
+fn absorb(
+    idb: &mut HashMap<String, Relation>,
+    derived: HashMap<String, Relation>,
+    tries: &mut TrieCache,
+) -> HashMap<String, Relation> {
+    let mut added = HashMap::new();
+    for (pred, facts) in derived {
+        let known = &idb[&pred];
+        let new = facts.filter(|t| !known.contains(t));
+        if !new.is_empty() {
+            idb.insert(pred.clone(), known.union(&new).expect("same arity"));
+            tries.forget(&pred);
+            added.insert(pred, new);
+        }
+    }
+    added
 }
 
 /// True iff the goal predicate derives at least one fact.
@@ -265,97 +329,96 @@ pub fn goal_holds_metered(
         .ok_or_else(|| EvalError::Invalid(format!("goal predicate {} is not an IDB", program.goal)))
 }
 
-/// Enumerates all satisfying bindings of a single rule, invoking `emit`
-/// with the head predicate and the instantiated head tuple.
-fn fire_rule(
-    rule: &Rule,
-    edb: &HashMap<&str, &Relation>,
-    full: &HashMap<String, Relation>,
-    delta_at: Option<(usize, &Relation)>,
-    meter: &mut Meter,
-    emit: &mut impl FnMut(&str, &[u32]),
-) -> Result<(), ExhaustionReason> {
-    let mut bindings: HashMap<&str, u32> = HashMap::new();
-    let mut head_tuple = vec![0u32; rule.head.terms.len()];
-    search(
-        rule,
-        0,
-        edb,
-        full,
-        delta_at,
-        &mut bindings,
-        meter,
-        &mut |b| {
-            for (i, t) in rule.head.terms.iter().enumerate() {
-                head_tuple[i] = match t {
-                    Term::Var(v) => b[v.as_str()],
-                    Term::Const(c) => *c,
-                };
-            }
-            emit(&rule.head.predicate, &head_tuple);
-        },
-    )
+/// A rule with its variables resolved to the slots of the rule-body
+/// kernel, body variables first.
+#[derive(Debug, Clone)]
+pub struct CompiledRule {
+    /// The head predicate.
+    pub head_pred: String,
+    head: Vec<BodyTerm>,
+    /// The predicate of each body atom.
+    pub body_preds: Vec<String>,
+    body: Vec<Vec<BodyTerm>>,
+    num_vars: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search<'r>(
-    rule: &'r Rule,
-    idx: usize,
-    edb: &HashMap<&str, &Relation>,
-    full: &HashMap<String, Relation>,
-    delta_at: Option<(usize, &Relation)>,
-    bindings: &mut HashMap<&'r str, u32>,
-    meter: &mut Meter,
-    found: &mut impl FnMut(&HashMap<&'r str, u32>),
-) -> Result<(), ExhaustionReason> {
-    if idx == rule.body.len() {
-        found(bindings);
-        return Ok(());
+impl CompiledRule {
+    /// Resolves `rule`'s variable names to slots.
+    ///
+    /// # Errors
+    ///
+    /// A message when the rule is unsafe: some head variable does not
+    /// occur in the body.
+    pub fn new(rule: &Rule) -> Result<CompiledRule, String> {
+        if !rule.is_safe() {
+            return Err(format!(
+                "unsafe rule: head variables must occur in the body ({})",
+                rule.head.predicate
+            ));
+        }
+        fn resolve<'r>(terms: &'r [Term], slots: &mut HashMap<&'r str, usize>) -> Vec<BodyTerm> {
+            terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => BodyTerm::Const(*c),
+                    Term::Var(v) => {
+                        let next = slots.len();
+                        BodyTerm::Var(*slots.entry(v.as_str()).or_insert(next))
+                    }
+                })
+                .collect()
+        }
+        let mut slots = HashMap::new();
+        let body: Vec<Vec<BodyTerm>> = rule
+            .body
+            .iter()
+            .map(|a| resolve(&a.terms, &mut slots))
+            .collect();
+        let head = resolve(&rule.head.terms, &mut slots);
+        Ok(CompiledRule {
+            head_pred: rule.head.predicate.clone(),
+            head,
+            body_preds: rule.body.iter().map(|a| a.predicate.clone()).collect(),
+            body,
+            num_vars: slots.len(),
+        })
     }
-    let atom = &rule.body[idx];
-    let relation: &Relation = match delta_at {
-        Some((pos, d)) if pos == idx => d,
-        _ => match full.get(atom.predicate.as_str()) {
-            Some(r) => r,
-            None => edb[atom.predicate.as_str()],
-        },
-    };
-    'tuples: for tuple in relation.iter() {
-        meter.tick()?;
-        let mut newly_bound: Vec<&str> = Vec::new();
-        for (t, &value) in atom.terms.iter().zip(tuple.iter()) {
-            match t {
-                Term::Const(c) => {
-                    if *c != value {
-                        for v in newly_bound.drain(..) {
-                            bindings.remove(v);
-                        }
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => match bindings.get(v.as_str()) {
-                    Some(&bound) => {
-                        if bound != value {
-                            for v in newly_bound.drain(..) {
-                                bindings.remove(v);
-                            }
-                            continue 'tuples;
-                        }
-                    }
-                    None => {
-                        bindings.insert(v.as_str(), value);
-                        newly_bound.push(v.as_str());
-                    }
-                },
+
+    /// Fires the rule through the rule-body kernel: body atom `i`
+    /// ranges over `sources[i]`, a relation and the name its trie views
+    /// may be cached under in `tries`. The `pinned` atom's variables are
+    /// bound first. `emit` receives the head tuple of every valuation.
+    fn fire(
+        &self,
+        sources: &[(&Relation, Option<&str>)],
+        pinned: Option<usize>,
+        tries: &mut TrieCache,
+        meter: &mut Meter,
+        emit: &mut dyn FnMut(&[u32]),
+    ) -> Result<(), ExhaustionReason> {
+        let atoms: Vec<BodyAtom> = self
+            .body
+            .iter()
+            .zip(sources)
+            .map(|(terms, &(rel, cache_as))| BodyAtom {
+                terms,
+                rel,
+                cache_as,
+            })
+            .collect();
+        let order = body_variable_order(&atoms, pinned, self.num_vars);
+        let mut head = vec![0u32; self.head.len()];
+        for_each_body_valuation(&atoms, &order, tries, meter, &mut |valuation| {
+            for (slot, term) in head.iter_mut().zip(&self.head) {
+                *slot = match *term {
+                    BodyTerm::Var(v) => valuation[v],
+                    BodyTerm::Const(c) => c,
+                };
             }
-        }
-        let deep = search(rule, idx + 1, edb, full, delta_at, bindings, meter, found);
-        for v in newly_bound {
-            bindings.remove(v);
-        }
-        deep?;
+            emit(&head);
+        })?;
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -26,7 +26,10 @@ mod parser;
 pub mod programs;
 
 pub use ast::{Atom, Program, Rule, Term};
-pub use eval::{evaluate, evaluate_metered, goal_holds, goal_holds_metered, EvalError, Evaluation};
+pub use eval::{
+    evaluate, evaluate_metered, fire_rules, goal_holds, goal_holds_metered, saturate, CompiledRule,
+    EvalError, Evaluation,
+};
 pub use parser::parse_program;
 
 #[cfg(test)]

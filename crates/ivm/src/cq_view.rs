@@ -2,29 +2,45 @@
 //!
 //! Every answer tuple carries its *derivation count*: the number of
 //! valuations of the query body that project to it. An insert adds the
-//! derivations that use the new tuple at least once (computed by the
-//! standard semi-naive delta expansion — for each occurrence of the
-//! changed predicate, pin that atom to the delta tuple, atoms at
-//! earlier occurrences see the *new* relation, later occurrences the
-//! *old*); a delete subtracts the same sum. A tuple leaves the answer
-//! set exactly when its count reaches zero, so deletions never
-//! recompute.
+//! derivations that use the new tuple at least once (the standard delta
+//! expansion: for each occurrence of the changed predicate, pin that
+//! atom to the delta tuple); a delete subtracts the same sum. A tuple
+//! leaves the answer set exactly when its count reaches zero, so
+//! deletions never recompute.
+//!
+//! Bodies run on the rule-body kernel
+//! ([`cspdb_relalg::for_each_body_valuation`]). A delta binds its pinned
+//! atom's variables first, so every other atom is read by seeks on
+//! bound columns. The trie views those seeks need are built when the
+//! view registers and patched one tuple per delta, so a delta never
+//! rescans a relation.
 
 use crate::delta::{Delta, DeltaOp, IvmError, Refresh};
-use crate::join::{for_each_valuation, BodyAtom, Tm};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::{Budget, Relation, Structure, TraceEvent};
 use cspdb_cq::ConjunctiveQuery;
-use std::collections::HashMap;
+use cspdb_relalg::{body_variable_order, for_each_body_valuation, BodyAtom, BodyTerm, TrieCache};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// A materialized conjunctive-query view maintained by derivation
 /// counting.
 #[derive(Debug, Clone)]
 pub struct CqView {
     query: ConjunctiveQuery,
-    /// Variable order: distinguished first (projection prefix).
-    vars: Vec<String>,
-    /// Resolved body (terms as indices into `vars`).
-    body: Vec<BodyAtom>,
+    /// Resolved body: per atom, its variables as slots of
+    /// `query.variables()`.
+    body: Vec<Vec<BodyTerm>>,
+    /// The slot of each distinguished variable, in head order.
+    head: Vec<usize>,
+    /// Per atom, the variable order of a delta pinned to it, fixed at
+    /// registration.
+    orders: Vec<Vec<usize>>,
+    /// The trie views those orders read, kept current with the
+    /// database state that holds the delta tuple (see [`CqView::apply`]).
+    tries: TrieCache,
+    /// Number of variable slots.
+    num_vars: usize,
     /// Derivation count per answer tuple. Invariant: every count > 0.
     counts: HashMap<Box<[u32]>, u64>,
     /// The current answer set (keys of `counts`), kept materialized.
@@ -32,9 +48,9 @@ pub struct CqView {
 }
 
 impl CqView {
-    /// Registers the view: resolves the query against `db`'s vocabulary
-    /// and computes the initial derivation counts with one full
-    /// enumeration.
+    /// Registers the view: resolves the query against `db`'s vocabulary,
+    /// computes the initial derivation counts with one full enumeration
+    /// and builds the trie views its deltas will read.
     ///
     /// # Errors
     ///
@@ -47,12 +63,8 @@ impl CqView {
         db: &Structure,
         budget: &Budget,
     ) -> Result<Self, IvmError> {
-        let vars: Vec<String> = query.variables().iter().map(|v| v.to_string()).collect();
-        let index: HashMap<&str, usize> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
+        let vars = query.variables();
+        let slot = |v: &str| vars.iter().position(|x| *x == v).expect("a query variable");
         for d in &query.distinguished {
             if !query.atoms.iter().any(|a| a.args.iter().any(|x| x == d)) {
                 return Err(IvmError::Invalid(format!(
@@ -61,6 +73,7 @@ impl CqView {
             }
         }
         let mut body = Vec::with_capacity(query.atoms.len());
+        let mut rels = Vec::with_capacity(query.atoms.len());
         for atom in &query.atoms {
             let rel = db
                 .relation_by_name(&atom.predicate)
@@ -73,48 +86,167 @@ impl CqView {
                     rel.arity()
                 )));
             }
-            body.push(BodyAtom {
-                terms: atom
-                    .args
-                    .iter()
-                    .map(|v| Tm::Var(index[v.as_str()]))
-                    .collect(),
-            });
+            body.push(atom.args.iter().map(|v| BodyTerm::Var(slot(v))).collect());
+            rels.push(rel);
         }
         let mut view = CqView {
             query: query.clone(),
-            vars,
             body,
+            head: query.distinguished.iter().map(|d| slot(d)).collect(),
+            orders: Vec::new(),
+            tries: TrieCache::new(),
+            num_vars: vars.len(),
             counts: HashMap::new(),
             answers: Relation::empty(query.distinguished.len()),
         };
-        let rels: Vec<&Relation> = view
+        let mut meter = budget.meter();
+        let mut counts = HashMap::new();
+        view.count(
+            &mut TrieCache::new(),
+            &rels,
+            None,
+            &[],
+            &[],
+            &mut meter,
+            &mut counts,
+        )
+        .map_err(IvmError::Exhausted)?;
+        view.answers = Relation::from_tuples_named(&query.name, view.head.len(), counts.keys())
+            .map_err(|e| IvmError::Invalid(e.to_string()))?;
+        view.counts = counts;
+        let mut tries = TrieCache::new();
+        for pinned in 0..view.body.len() {
+            let mut atoms = view.atoms(&rels);
+            let order = body_variable_order(&atoms, Some(pinned), view.num_vars);
+            atoms[pinned].cache_as = None; // a delta replaces it
+            tries
+                .prepare(&atoms, &order, &mut meter)
+                .map_err(IvmError::Exhausted)?;
+            view.orders.push(order);
+        }
+        view.tries = tries;
+        Ok(view)
+    }
+
+    /// The body atoms over `rels`, each cached under its predicate.
+    fn atoms<'a>(&'a self, rels: &[&'a Relation]) -> Vec<BodyAtom<'a>> {
+        self.body
+            .iter()
+            .zip(&self.query.atoms)
+            .zip(rels)
+            .map(|((terms, atom), &rel)| BodyAtom {
+                terms,
+                rel,
+                cache_as: Some(atom.predicate.as_str()),
+            })
+            .collect()
+    }
+
+    /// Adds one derivation to `counts` per valuation of the body, atom
+    /// `i` ranging over `rels[i]`, that instantiates none of the atoms
+    /// in `distinct` to `tuple`. With `pinned`, that atom ranges over a
+    /// delta and is read as it is, under the order fixed for it; the
+    /// other atoms read their trie views from `tries`.
+    #[allow(clippy::too_many_arguments)]
+    fn count(
+        &self,
+        tries: &mut TrieCache,
+        rels: &[&Relation],
+        pinned: Option<usize>,
+        distinct: &[usize],
+        tuple: &[u32],
+        meter: &mut Meter,
+        counts: &mut HashMap<Box<[u32]>, u64>,
+    ) -> Result<(), ExhaustionReason> {
+        let mut atoms = self.atoms(rels);
+        let order = match pinned {
+            Some(p) => {
+                atoms[p].cache_as = None;
+                Cow::Borrowed(&self.orders[p])
+            }
+            None => Cow::Owned(body_variable_order(&atoms, None, self.num_vars)),
+        };
+        let mut key = Vec::with_capacity(self.head.len());
+        for_each_body_valuation(&atoms, &order, tries, meter, &mut |valuation| {
+            let instantiates_to_tuple = |j: usize| {
+                self.body[j]
+                    .iter()
+                    .zip(tuple)
+                    .all(|(term, &x)| match *term {
+                        BodyTerm::Var(v) => valuation[v] == x,
+                        BodyTerm::Const(c) => c == x,
+                    })
+            };
+            if distinct.iter().any(|&j| instantiates_to_tuple(j)) {
+                return;
+            }
+            key.clear();
+            key.extend(self.head.iter().map(|&v| valuation[v]));
+            match counts.get_mut(key.as_slice()) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(key.as_slice().into(), 1);
+                }
+            }
+        })?;
+        Ok(())
+    }
+
+    /// The derivations that use `delta`'s tuple t at least once, by
+    /// answer tuple. Occurrence k of the changed predicate pins its atom
+    /// to {t} while every other atom ranges over the state that holds t
+    /// (`post` for an insert, `pre` for a delete). A derivation with t
+    /// at several occurrences is counted once: at the last of them for
+    /// an insert and at the first for a delete, which is the classic
+    /// expansion where earlier occurrences see the new relation and
+    /// later ones the old. `tries` follows the same state: t is
+    /// inserted before counting and removed after.
+    fn delta_counts(
+        &self,
+        tries: &mut TrieCache,
+        delta: &Delta,
+        occurrences: &[usize],
+        state: &Structure,
+        meter: &mut Meter,
+    ) -> Result<HashMap<Box<[u32]>, u64>, ExhaustionReason> {
+        let insert = delta.op == DeltaOp::Insert;
+        let single = Relation::from_flat(delta.tuple.len(), 1, delta.tuple.clone());
+        let mut rels: Vec<&Relation> = self
             .query
             .atoms
             .iter()
-            .map(|a| db.relation_by_name(&a.predicate).expect("resolved above"))
+            .map(|a| {
+                state
+                    .relation_by_name(&a.predicate)
+                    .expect("validated at registration")
+            })
             .collect();
-        let arity = view.query.distinguished.len();
-        let mut counts: HashMap<Box<[u32]>, u64> = HashMap::new();
-        let mut meter = budget.meter();
-        for_each_valuation(
-            &view.body,
-            &rels,
-            view.vars.len(),
-            &mut meter,
-            &mut |binding| {
-                let key: Box<[u32]> = binding[..arity]
-                    .iter()
-                    .map(|b| b.expect("distinguished vars occur in body"))
-                    .collect();
-                *counts.entry(key).or_insert(0) += 1;
-            },
-        )
-        .map_err(IvmError::Exhausted)?;
-        view.answers = Relation::from_tuples_named(&view.query.name, arity, counts.keys())
-            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-        view.counts = counts;
-        Ok(view)
+        if insert {
+            tries.apply_delta(&delta.rel, &delta.tuple, true, meter)?;
+        }
+        let mut counts = HashMap::new();
+        for (k, &pinned) in occurrences.iter().enumerate() {
+            let unpinned = std::mem::replace(&mut rels[pinned], &single);
+            let distinct = if insert {
+                &occurrences[k + 1..]
+            } else {
+                &occurrences[..k]
+            };
+            self.count(
+                tries,
+                &rels,
+                Some(pinned),
+                distinct,
+                &delta.tuple,
+                meter,
+                &mut counts,
+            )?;
+            rels[pinned] = unpinned;
+        }
+        if !insert {
+            tries.apply_delta(&delta.rel, &delta.tuple, false, meter)?;
+        }
+        Ok(counts)
     }
 
     /// The query this view materializes.
@@ -134,7 +266,9 @@ impl CqView {
 
     /// Absorbs one delta. `pre` and `post` are the database before and
     /// after the delta (the delta must actually separate them — no-op
-    /// deltas are rejected upstream by [`crate::structure_with_delta`]).
+    /// deltas are rejected upstream by [`crate::structure_with_delta`]),
+    /// and `pre` must be the state the view last saw: the state it
+    /// registered on, or the `post` of its previous delta.
     ///
     /// # Errors
     ///
@@ -158,47 +292,21 @@ impl CqView {
         if occurrences.is_empty() {
             return Ok(Refresh::default());
         }
-        let single = Relation::from_tuples(delta.tuple.len(), [delta.tuple.as_slice()])
-            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-        let arity = self.query.distinguished.len();
-        let mut meter = budget.meter();
-        // Sum the derivations that use the delta tuple at least once:
-        // occurrence k pins atom occ[k] to {t}; earlier occurrences of
-        // the predicate see the *new* relation, later ones the *old*,
-        // so each mixed derivation is counted exactly once.
-        let mut delta_counts: HashMap<Box<[u32]>, u64> = HashMap::new();
-        for (k, &pinned) in occurrences.iter().enumerate() {
-            let rels: Vec<&Relation> = self
-                .query
-                .atoms
-                .iter()
-                .enumerate()
-                .map(|(i, atom)| {
-                    if i == pinned {
-                        &single
-                    } else if atom.predicate != delta.rel {
-                        post.relation_by_name(&atom.predicate)
-                            .expect("validated at registration")
-                    } else if occurrences[..k].contains(&i) {
-                        // Earlier occurrence: the post-delta relation.
-                        post.relation_by_name(&atom.predicate)
-                            .expect("validated at registration")
-                    } else {
-                        // Later occurrence: the pre-delta relation.
-                        pre.relation_by_name(&atom.predicate)
-                            .expect("validated at registration")
-                    }
-                })
-                .collect();
-            for_each_valuation(&self.body, &rels, self.vars.len(), &mut meter, &mut |b| {
-                let key: Box<[u32]> = b[..arity]
-                    .iter()
-                    .map(|x| x.expect("distinguished vars occur in body"))
-                    .collect();
-                *delta_counts.entry(key).or_insert(0) += 1;
-            })
-            .map_err(IvmError::Exhausted)?;
+        if delta.tuple.len() != self.query.atoms[occurrences[0]].args.len() {
+            return Err(IvmError::Invalid(format!(
+                "delta tuple {:?} does not fit relation {}",
+                delta.tuple, delta.rel
+            )));
         }
+        let mut meter = budget.meter();
+        let state = match delta.op {
+            DeltaOp::Insert => post,
+            DeltaOp::Delete => pre,
+        };
+        let mut tries = std::mem::take(&mut self.tries);
+        let counted = self.delta_counts(&mut tries, delta, &occurrences, state, &mut meter);
+        self.tries = tries;
+        let delta_counts = counted.map_err(IvmError::Exhausted)?;
         // The same expansion serves both directions: for an insert the
         // counted derivations are exactly the ones that exist now and
         // use t (added); for a delete, exactly the ones that existed
@@ -208,24 +316,25 @@ impl CqView {
         match delta.op {
             DeltaOp::Insert => {
                 for (key, n) in delta_counts {
-                    let entry = self.counts.entry(key.clone()).or_insert(0);
-                    if *entry == 0 {
-                        self.answers
-                            .insert(&key)
-                            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-                        refresh.added += 1;
+                    if let Some(count) = self.counts.get_mut(&key) {
+                        *count += n;
+                        continue;
                     }
-                    *entry += n;
+                    self.answers
+                        .insert(&key)
+                        .map_err(|e| IvmError::Invalid(e.to_string()))?;
+                    self.counts.insert(key, n);
+                    refresh.added += 1;
                 }
             }
             DeltaOp::Delete => {
+                let mut gone: HashSet<Box<[u32]>> = HashSet::new();
                 for (key, n) in delta_counts {
                     match self.counts.get_mut(&key) {
                         Some(entry) if *entry > n => *entry -= n,
                         Some(_) => {
                             self.counts.remove(&key);
-                            self.answers = self.answers.filter(|t| t != key.as_ref());
-                            refresh.removed += 1;
+                            gone.insert(key);
                         }
                         None => {
                             return Err(IvmError::Invalid(format!(
@@ -235,15 +344,17 @@ impl CqView {
                         }
                     }
                 }
+                if !gone.is_empty() {
+                    self.answers = self.answers.filter(|t| !gone.contains(t));
+                    refresh.removed = gone.len() as u64;
+                }
             }
         }
-        let name = self.query.name.clone();
-        let total = self.answers.len() as u64;
         meter.tracer().emit_with(|| TraceEvent::ViewRefreshed {
-            view: name,
+            view: self.query.name.clone(),
             added: refresh.added,
             removed: refresh.removed,
-            total,
+            total: self.answers.len() as u64,
         });
         Ok(refresh)
     }

@@ -9,73 +9,20 @@
 //! support in the reduced database.
 
 use crate::delta::{Delta, DeltaOp, IvmError, Refresh};
-use crate::join::{for_each_valuation, BodyAtom, Tm};
 use cspdb_core::budget::Meter;
 use cspdb_core::{Budget, Relation, Structure, TraceEvent};
-use cspdb_datalog::{evaluate_metered, EvalError, Program, Term};
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-/// A rule with names resolved to per-rule variable slots.
-#[derive(Debug, Clone)]
-struct ResolvedRule {
-    head_pred: String,
-    head_terms: Vec<Tm>,
-    body_preds: Vec<String>,
-    body: Vec<BodyAtom>,
-    num_vars: usize,
-}
+use cspdb_datalog::{evaluate_metered, fire_rules, saturate, CompiledRule, Program};
+use cspdb_relalg::TrieCache;
+use std::collections::HashMap;
 
 /// A materialized recursive Datalog view maintained by DRed.
 #[derive(Debug, Clone)]
 pub struct DatalogView {
     name: String,
     program: Program,
-    rules: Vec<ResolvedRule>,
-    /// IDB predicate -> arity (inferred from the rules).
-    idb_arity: HashMap<String, usize>,
+    rules: Vec<CompiledRule>,
     /// Current IDB relations; every IDB predicate has an entry.
     idb: HashMap<String, Relation>,
-}
-
-fn resolve_rules(program: &Program) -> Result<Vec<ResolvedRule>, IvmError> {
-    let mut out = Vec::with_capacity(program.rules.len());
-    for rule in &program.rules {
-        if !rule.is_safe() {
-            return Err(IvmError::Invalid(format!(
-                "unsafe rule: head variables must occur in the body ({})",
-                rule.head.predicate
-            )));
-        }
-        let mut index: HashMap<String, usize> = HashMap::new();
-        fn resolve(terms: &[Term], index: &mut HashMap<String, usize>) -> Vec<Tm> {
-            terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Tm::Const(*c),
-                    Term::Var(v) => {
-                        let next = index.len();
-                        Tm::Var(*index.entry(v.clone()).or_insert(next))
-                    }
-                })
-                .collect()
-        }
-        let body: Vec<BodyAtom> = rule
-            .body
-            .iter()
-            .map(|a| BodyAtom {
-                terms: resolve(&a.terms, &mut index),
-            })
-            .collect();
-        let head_terms = resolve(&rule.head.terms, &mut index);
-        out.push(ResolvedRule {
-            head_pred: rule.head.predicate.clone(),
-            head_terms,
-            body_preds: rule.body.iter().map(|a| a.predicate.clone()).collect(),
-            body,
-            num_vars: index.len(),
-        });
-    }
-    Ok(out)
 }
 
 impl DatalogView {
@@ -94,40 +41,19 @@ impl DatalogView {
         edb: &Structure,
         budget: &Budget,
     ) -> Result<Self, IvmError> {
-        let eval = evaluate_metered(program, edb, &mut budget.meter()).map_err(|e| match e {
-            EvalError::Invalid(m) => IvmError::Invalid(m),
-            EvalError::Exhausted(r) => IvmError::Exhausted(r),
-        })?;
-        let rules = resolve_rules(program)?;
-        let idb_names: BTreeSet<String> = program
-            .idb_predicates()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mut idb_arity = HashMap::new();
-        for rule in &rules {
-            idb_arity
-                .entry(rule.head_pred.clone())
-                .or_insert(rule.head_terms.len());
-        }
-        let mut idb = HashMap::new();
-        for pred in &idb_names {
-            let arity = *idb_arity
-                .get(pred)
-                .ok_or_else(|| IvmError::Invalid(format!("IDB {pred} has no rule")))?;
-            let rel = eval
-                .relations
-                .get(pred)
-                .cloned()
-                .unwrap_or_else(|| Relation::empty(arity));
-            idb.insert(pred.clone(), rel);
-        }
+        let eval = evaluate_metered(program, edb, &mut budget.meter())?;
+        let rules = program
+            .rules
+            .iter()
+            .map(CompiledRule::new)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(IvmError::Invalid)?;
         Ok(DatalogView {
             name: name.into(),
             program: program.clone(),
             rules,
-            idb_arity,
-            idb,
+            // The evaluation holds every IDB predicate, derived or not.
+            idb: eval.relations,
         })
     }
 
@@ -151,52 +77,6 @@ impl DatalogView {
     /// All maintained IDB relations.
     pub fn relations(&self) -> &HashMap<String, Relation> {
         &self.idb
-    }
-
-    /// Looks up the relation a body atom ranges over: IDB from the
-    /// working map, EDB from the structure.
-    fn full<'a>(
-        idb: &'a HashMap<String, Relation>,
-        edb: &'a Structure,
-        pred: &str,
-    ) -> Result<&'a Relation, IvmError> {
-        if let Some(rel) = idb.get(pred) {
-            return Ok(rel);
-        }
-        edb.relation_by_name(pred)
-            .map_err(|e| IvmError::Invalid(e.to_string()))
-    }
-
-    /// Fires one rule with body position `pinned` ranging over
-    /// `delta_rel` (or fully, when `pinned` is `None`), emitting head
-    /// tuples.
-    fn fire(
-        rule: &ResolvedRule,
-        idb: &HashMap<String, Relation>,
-        edb: &Structure,
-        pinned: Option<(usize, &Relation)>,
-        meter: &mut Meter,
-        emit: &mut dyn FnMut(Vec<u32>),
-    ) -> Result<(), IvmError> {
-        let mut rels: Vec<&Relation> = Vec::with_capacity(rule.body.len());
-        for (i, pred) in rule.body_preds.iter().enumerate() {
-            match pinned {
-                Some((p, delta_rel)) if p == i => rels.push(delta_rel),
-                _ => rels.push(Self::full(idb, edb, pred)?),
-            }
-        }
-        let head_terms = &rule.head_terms;
-        for_each_valuation(&rule.body, &rels, rule.num_vars, meter, &mut |binding| {
-            let tuple: Vec<u32> = head_terms
-                .iter()
-                .map(|t| match *t {
-                    Tm::Const(c) => c,
-                    Tm::Var(v) => binding[v].expect("safe rule: head vars bound by body"),
-                })
-                .collect();
-            emit(tuple);
-        })
-        .map_err(IvmError::Exhausted)
     }
 
     /// Absorbs one EDB delta. `pre`/`post` are the EDB before and after.
@@ -246,61 +126,24 @@ impl DatalogView {
         post: &Structure,
         meter: &mut Meter,
     ) -> Result<(), IvmError> {
-        let single = Relation::from_tuples(delta.tuple.len(), [delta.tuple.as_slice()])
-            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-        let mut delta_rels: HashMap<String, Relation> = HashMap::new();
-        delta_rels.insert(delta.rel.clone(), single);
-        let mut added_total = 0u64;
-        loop {
-            let mut new_facts: HashMap<String, Vec<Vec<u32>>> = HashMap::new();
-            for rule in &self.rules {
-                for (i, pred) in rule.body_preds.iter().enumerate() {
-                    let Some(delta_rel) = delta_rels.get(pred) else {
-                        continue;
-                    };
-                    let idb = &self.idb;
-                    let mut emitted: Vec<Vec<u32>> = Vec::new();
-                    Self::fire(rule, idb, post, Some((i, delta_rel)), meter, &mut |t| {
-                        emitted.push(t)
-                    })?;
-                    let bucket = new_facts.entry(rule.head_pred.clone()).or_default();
-                    for t in emitted {
-                        if !self.idb[&rule.head_pred].contains(&t) {
-                            bucket.push(t);
-                        }
-                    }
-                }
-            }
-            let mut next: HashMap<String, Relation> = HashMap::new();
-            for (pred, tuples) in new_facts {
-                let arity = self.idb_arity[&pred];
-                let mut fresh = Relation::empty(arity);
-                let rel = self.idb.get_mut(&pred).expect("IDB entry exists");
-                for t in tuples {
-                    if rel
-                        .insert(&t)
-                        .map_err(|e| IvmError::Invalid(e.to_string()))?
-                    {
-                        fresh
-                            .insert(&t)
-                            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-                        added_total += 1;
-                    }
-                }
-                if !fresh.is_empty() {
-                    next.insert(pred, fresh);
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            delta_rels = next;
-        }
+        let single = Relation::from_flat(delta.tuple.len(), 1, delta.tuple.clone());
+        let new = HashMap::from([(delta.rel.clone(), single)]);
+        let mut added = 0u64;
+        let (rules, idb) = (&self.rules, &mut self.idb);
+        saturate(
+            rules,
+            post,
+            idb,
+            new,
+            &mut TrieCache::new(),
+            meter,
+            &mut |n| added += n as u64,
+        )?;
         let name = self.name.clone();
         let total: u64 = self.idb.values().map(|r| r.len() as u64).sum();
         meter.tracer().emit_with(|| TraceEvent::ViewRefreshed {
             view: name,
-            added: added_total,
+            added,
             removed: 0,
             total,
         });
@@ -316,89 +159,67 @@ impl DatalogView {
         post: &Structure,
         meter: &mut Meter,
     ) -> Result<(), IvmError> {
-        let single = Relation::from_tuples(delta.tuple.len(), [delta.tuple.as_slice()])
-            .map_err(|e| IvmError::Invalid(e.to_string()))?;
         // Phase 1: over-delete. A fact is suspect if some derivation
         // against the *old* state uses a deleted fact at one position.
-        let mut deleted: HashMap<String, Relation> = HashMap::new();
-        deleted.insert(delta.rel.clone(), single);
+        // The IDBs stay fixed until phase 2, so their trie views too.
+        let single = Relation::from_flat(delta.tuple.len(), 1, delta.tuple.clone());
+        let mut deleted = HashMap::from([(delta.rel.clone(), single)]);
         let mut overdeleted: HashMap<String, Relation> = self
-            .idb_arity
+            .idb
             .iter()
-            .map(|(p, &a)| (p.clone(), Relation::empty(a)))
+            .map(|(p, r)| (p.clone(), Relation::empty(r.arity())))
             .collect();
-        loop {
-            let mut fresh: HashMap<String, Relation> = HashMap::new();
-            for rule in &self.rules {
-                for (i, pred) in rule.body_preds.iter().enumerate() {
-                    let Some(delta_rel) = deleted.get(pred) else {
-                        continue;
-                    };
-                    let idb = &self.idb;
-                    let mut emitted: Vec<Vec<u32>> = Vec::new();
-                    Self::fire(rule, idb, pre, Some((i, delta_rel)), meter, &mut |t| {
-                        emitted.push(t)
-                    })?;
-                    for t in emitted {
-                        if self.idb[&rule.head_pred].contains(&t)
-                            && !overdeleted[&rule.head_pred].contains(&t)
-                        {
-                            overdeleted
-                                .get_mut(&rule.head_pred)
-                                .expect("entry exists")
-                                .insert(&t)
-                                .map_err(|e| IvmError::Invalid(e.to_string()))?;
-                            fresh
-                                .entry(rule.head_pred.clone())
-                                .or_insert_with(|| Relation::empty(t.len()))
-                                .insert(&t)
-                                .map_err(|e| IvmError::Invalid(e.to_string()))?;
-                        }
-                    }
+        let mut tries = TrieCache::new();
+        while !deleted.is_empty() {
+            let derived = fire_rules(
+                &self.rules,
+                pre,
+                &self.idb,
+                Some(&deleted),
+                &mut tries,
+                meter,
+            )?;
+            deleted.clear();
+            for (pred, facts) in derived {
+                let gone = &overdeleted[&pred];
+                let suspects = facts.filter(|t| self.idb[&pred].contains(t) && !gone.contains(t));
+                if !suspects.is_empty() {
+                    let all = gone.union(&suspects).expect("same arity");
+                    overdeleted.insert(pred.clone(), all);
+                    deleted.insert(pred, suspects);
                 }
             }
-            if fresh.is_empty() {
-                break;
-            }
-            deleted = fresh;
         }
         let overdeleted_total: u64 = overdeleted.values().map(|r| r.len() as u64).sum();
         // Phase 2: remove the suspects.
         for (pred, gone) in &overdeleted {
-            if gone.is_empty() {
-                continue;
+            if !gone.is_empty() {
+                let rel = self.idb.get_mut(pred).expect("IDB entry exists");
+                *rel = rel.filter(|t| !gone.contains(t));
             }
-            let rel = self.idb.get_mut(pred).expect("IDB entry exists");
-            *rel = rel.filter(|t| !gone.contains(t));
         }
         // Phase 3: re-derive suspects that still have support in the
         // reduced database, to fixpoint (a re-derived fact may support
         // further re-derivations).
-        let mut missing: HashMap<String, HashSet<Vec<u32>>> = overdeleted
-            .iter()
-            .map(|(p, r)| (p.clone(), r.iter().map(<[u32]>::to_vec).collect()))
-            .collect();
+        let mut missing = overdeleted;
         let mut rederived_total = 0u64;
+        let mut tries = TrieCache::new();
         loop {
+            let active = self
+                .rules
+                .iter()
+                .filter(|r| !missing[&r.head_pred].is_empty());
+            let derived = fire_rules(active, post, &self.idb, None, &mut tries, meter)?;
             let mut changed = false;
-            for rule in &self.rules {
-                if missing[&rule.head_pred].is_empty() {
-                    continue;
-                }
-                let idb = &self.idb;
-                let mut emitted: Vec<Vec<u32>> = Vec::new();
-                Self::fire(rule, idb, post, None, meter, &mut |t| emitted.push(t))?;
-                for t in emitted {
-                    let still = missing.get_mut(&rule.head_pred).expect("entry exists");
-                    if still.remove(t.as_slice()) {
-                        self.idb
-                            .get_mut(&rule.head_pred)
-                            .expect("entry exists")
-                            .insert(&t)
-                            .map_err(|e| IvmError::Invalid(e.to_string()))?;
-                        rederived_total += 1;
-                        changed = true;
-                    }
+            for (pred, facts) in derived {
+                let still = missing.get_mut(&pred).expect("entry exists");
+                let back = facts.filter(|t| still.remove(t));
+                if !back.is_empty() {
+                    let rel = self.idb.get_mut(&pred).expect("entry exists");
+                    *rel = rel.union(&back).expect("same arity");
+                    tries.forget(&pred);
+                    rederived_total += back.len() as u64;
+                    changed = true;
                 }
             }
             if !changed {

@@ -4,6 +4,7 @@
 
 use cspdb_core::budget::ExhaustionReason;
 use cspdb_core::{Relation, Structure};
+use cspdb_datalog::EvalError;
 use std::fmt;
 
 /// Which way a [`Delta`] moves a tuple.
@@ -90,6 +91,15 @@ impl fmt::Display for IvmError {
 }
 
 impl std::error::Error for IvmError {}
+
+impl From<EvalError> for IvmError {
+    fn from(e: EvalError) -> Self {
+        match e {
+            EvalError::Invalid(m) => IvmError::Invalid(m),
+            EvalError::Exhausted(r) => IvmError::Exhausted(r),
+        }
+    }
+}
 
 /// What one delta did to one view's answer set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

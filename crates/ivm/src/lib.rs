@@ -39,7 +39,6 @@
 mod cq_view;
 mod datalog_view;
 mod delta;
-mod join;
 mod registry;
 mod rpq_view;
 

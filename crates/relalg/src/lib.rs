@@ -17,6 +17,10 @@
 //!   leapfrog multiway join over sorted trie views, selected cost-wise
 //!   (AGM bound vs. System-R peak estimate) for cyclic join cores like
 //!   triangles and Loomis–Whitney;
+//! * [`for_each_body_valuation`] — the one rule-body kernel: a
+//!   conjunctive body with constants and repeated variables, optionally
+//!   pinned to a delta, lowered onto the same leapfrog core and streamed
+//!   valuation by valuation (CQ view maintenance and Datalog use it);
 //! * [`solve_by_join`] / [`count_by_join`] — Proposition 2.1 as code;
 //! * [`solve_acyclic`] / [`solve_acyclic_hom`] — Yannakakis' polynomial
 //!   algorithm for α-acyclic instances via GYO join trees and a full
@@ -31,6 +35,7 @@
 mod join_eval;
 mod named;
 mod planner;
+mod rule_body;
 mod wcoj;
 mod yannakakis;
 
@@ -42,6 +47,7 @@ pub use named::NamedRelation;
 pub use planner::{
     common_attrs, plan_join_order, HashIndex, IndexCache, JoinOrder, PlanStep, INDEX_CACHE_CAPACITY,
 };
+pub use rule_body::{body_variable_order, for_each_body_valuation, BodyAtom, BodyTerm, TrieCache};
 pub use wcoj::{
     agm_sqrt_bound, choose_engine, estimated_join_peak, global_attribute_order, is_cyclic_join,
     wcoj_join_metered, wcoj_join_with_order, EngineChoice,

@@ -9,7 +9,7 @@
 //! bind one *attribute* at a time (instead of one relation at a time)
 //! meet that bound. This module implements such an engine:
 //!
-//! * every relation is materialized as a [`TrieView`] — its projection
+//! * every relation is materialized as a trie view — its projection
 //!   onto its columns in a single global attribute order, which is
 //!   sorted lexicographically, so each attribute level is a sorted run
 //!   supporting binary-search `seek`;
@@ -23,14 +23,18 @@
 //!   at least two relations), and WCOJ is selected only for cyclic
 //!   hypergraphs where the AGM bound is smaller.
 //!
-//! The engine is metered like every other kernel: one `tick` per seek,
-//! one `charge_tuples` per output row, a [`TraceEvent::WcojLevel`] per
-//! attribute level with its binding cardinality, and one
-//! [`TraceEvent::Operator`] (kind `multiway_join`) accounting for the
-//! output — so trace/meter reconciliation holds across engines.
+//! The engine is metered like every other kernel: one `tick` per trie
+//! row built and per seek, one `charge_tuples` per output row, a
+//! [`TraceEvent::WcojLevel`] per attribute level with its binding
+//! cardinality, and one [`TraceEvent::Operator`] (kind `multiway_join`)
+//! accounting for the output — so trace/meter reconciliation holds
+//! across engines. The leapfrog core streams its bindings, so the rule
+//! bodies of view maintenance and Datalog run on it too
+//! ([`for_each_body_valuation`]).
 
 use crate::named::NamedRelation;
 use crate::planner::{plan_join_order, JoinOrder};
+use crate::rule_body::{for_each_body_valuation, BodyAtom, BodyTerm, TrieCache};
 use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
 use cspdb_core::Relation;
@@ -233,51 +237,30 @@ pub fn global_attribute_order(relations: &[NamedRelation]) -> Vec<u32> {
     order
 }
 
-/// One relation's sorted trie view: the relation projected onto its
-/// columns in global attribute order. A projection is sorted
-/// lexicographically, so the rows matching any bound prefix form one
-/// contiguous range and each level within it is a sorted run.
-struct TrieView {
-    rows: Relation,
-    /// For each global level, the column (depth) this relation binds
-    /// there, or `None` when the attribute is absent from its schema.
+/// One input of the leapfrog: rows sorted lexicographically whose
+/// columns bind strictly increasing levels of the variable order, so
+/// the rows matching any bound prefix form one contiguous range and
+/// each level within it is a sorted run.
+pub(crate) struct TrieView<'a> {
+    rows: &'a Relation,
+    /// For each level, the column (depth) this view binds there, or
+    /// `None` when the view does not bind that level.
     depth_at_level: Vec<Option<usize>>,
 }
 
-impl TrieView {
-    /// Builds the view (one metered tick per input row).
-    fn build(
-        rel: &NamedRelation,
-        attr_order: &[u32],
-        meter: &mut Meter,
-    ) -> Result<TrieView, ExhaustionReason> {
-        let level_of: HashMap<u32, usize> = attr_order
-            .iter()
-            .enumerate()
-            .map(|(l, &a)| (a, l))
-            .collect();
-        // Columns sorted by their attribute's position in the global
-        // order — the permutation applied to every row.
-        let mut cols: Vec<(usize, usize)> = rel
-            .schema()
-            .iter()
-            .enumerate()
-            .map(|(c, a)| (level_of[a], c))
-            .collect();
-        cols.sort_unstable();
-        for _ in 0..rel.len() {
-            meter.tick()?;
-        }
-        let columns: Vec<usize> = cols.iter().map(|&(_, c)| c).collect();
-        let rows = rel.relation().project(&columns);
-        let mut depth_at_level = vec![None; attr_order.len()];
-        for (depth, &(level, _)) in cols.iter().enumerate() {
+impl<'a> TrieView<'a> {
+    /// A view over `rows` whose column `d` binds level `levels[d]`, out
+    /// of `num_levels` levels.
+    pub(crate) fn new(rows: &'a Relation, levels: &[usize], num_levels: usize) -> TrieView<'a> {
+        debug_assert!(levels.windows(2).all(|w| w[0] < w[1]));
+        let mut depth_at_level = vec![None; num_levels];
+        for (depth, &level) in levels.iter().enumerate() {
             depth_at_level[level] = Some(depth);
         }
-        Ok(TrieView {
+        TrieView {
             rows,
             depth_at_level,
-        })
+        }
     }
 }
 
@@ -294,13 +277,15 @@ pub fn wcoj_join_metered(
 /// Evaluates the full natural join of `relations` with the leapfrog
 /// worst-case-optimal engine, binding attributes in `attr_order`
 /// (which must be exactly the set of attributes appearing in the
-/// schemas). The output schema is `attr_order`; only output tuples are
-/// materialized, never an intermediate join.
+/// schemas): a rule body whose atoms are the relations, run by
+/// [`for_each_body_valuation`]. The output schema is `attr_order`; only
+/// output tuples are materialized, never an intermediate join.
 ///
 /// # Errors
 ///
-/// Propagates meter exhaustion: one step per trie row and per seek, one
-/// tuple charge per output row.
+/// Propagates meter exhaustion: one step per row of a relation whose
+/// columns are not already in `attr_order` (it is sorted into a trie
+/// view) and per seek, one tuple charge per output row.
 ///
 /// # Panics
 ///
@@ -318,46 +303,46 @@ pub fn wcoj_join_with_order(
         return Ok(NamedRelation::empty(attr_order.to_vec()));
     }
     let span = meter.tracer().span_start();
-    // Nullary relations with rows are join units; drop them.
+    let slot_of: HashMap<u32, usize> = attr_order
+        .iter()
+        .enumerate()
+        .map(|(l, &a)| (a, l))
+        .collect();
+    let terms: Vec<Vec<BodyTerm>> = relations
+        .iter()
+        .map(|r| {
+            r.schema()
+                .iter()
+                .map(|a| BodyTerm::Var(slot_of[a]))
+                .collect()
+        })
+        .collect();
+    let atoms: Vec<BodyAtom> = relations
+        .iter()
+        .zip(&terms)
+        .map(|(r, terms)| BodyAtom {
+            terms,
+            rel: r.relation(),
+            cache_as: None,
+        })
+        .collect();
+    let order: Vec<usize> = (0..attr_order.len()).collect();
+    let (mut output_rows, mut out) = (0u64, Vec::new());
+    let matches =
+        for_each_body_valuation(&atoms, &order, &mut TrieCache::new(), meter, &mut |row| {
+            out.extend_from_slice(row);
+            output_rows += 1;
+        })?;
+    // Nullary relations with rows are join units, not inputs.
     let inputs: Vec<&NamedRelation> = relations
         .iter()
         .filter(|r| !r.schema().is_empty())
         .collect();
-    let mut views = Vec::with_capacity(inputs.len());
-    for r in &inputs {
-        views.push(TrieView::build(r, attr_order, meter)?);
-    }
-    // Relations participating at each level, fixed by the schemas.
-    let participants: Vec<Vec<usize>> = (0..attr_order.len())
-        .map(|l| {
-            (0..views.len())
-                .filter(|&v| views[v].depth_at_level[l].is_some())
-                .collect()
-        })
-        .collect();
-    let mut ranges: Vec<(usize, usize)> = views.iter().map(|v| (0, v.rows.len())).collect();
-    let mut matches = vec![0u64; attr_order.len()];
-    let mut prefix: Vec<u32> = Vec::with_capacity(attr_order.len());
-    let mut out: Vec<u32> = Vec::new();
-    leapfrog(
-        &views,
-        &participants,
-        0,
-        &mut ranges,
-        &mut prefix,
-        &mut matches,
-        &mut out,
-        meter,
-    )?;
-    // The deepest level's matches are the output rows; with no levels,
-    // the empty binding is the one output row.
-    let output_rows = matches.last().map_or(1, |&m| m);
-    let input_rows: u64 = inputs.iter().map(|r| r.len() as u64).sum();
     for (l, &attr) in attr_order.iter().enumerate() {
         meter.tracer().emit_with(|| TraceEvent::WcojLevel {
             level: l as u32,
             attr,
-            relations: participants[l].len() as u32,
+            relations: inputs.iter().filter(|r| r.schema().contains(&attr)).count() as u32,
             matches: matches[l],
         });
     }
@@ -366,7 +351,7 @@ pub fn wcoj_join_with_order(
     // total input rows, "right" the relation count.
     meter.tracer().emit_with(|| TraceEvent::Operator {
         op: OperatorKind::MultiwayJoin,
-        left_rows: input_rows,
+        left_rows: inputs.iter().map(|r| r.len() as u64).sum(),
         right_rows: inputs.len() as u64,
         output_rows,
         micros: Tracer::span_micros(span),
@@ -375,102 +360,151 @@ pub fn wcoj_join_with_order(
     Ok(NamedRelation::from_relation(attr_order.to_vec(), relation))
 }
 
-/// The recursive leapfrog intersection: at `level`, the participating
-/// views' current ranges are intersected on their level column; every
-/// surviving value is bound and recursed one level deeper. `ranges` is
-/// restored before returning, so the caller's state survives.
-#[allow(clippy::too_many_arguments)]
-fn leapfrog(
+/// The streaming leapfrog core shared by every multiway join: calls
+/// `emit` once per binding of levels `0..num_levels` on which all
+/// `views` agree, with the values by level, and returns how many
+/// bindings each level matched. The views must be non-empty and every
+/// level must be bound by at least one of them; with no levels, the
+/// empty binding is emitted once.
+///
+/// Metered: one tick per seek, one tuple charge per emitted binding.
+pub(crate) fn leapfrog(
     views: &[TrieView],
-    participants: &[Vec<usize>],
-    level: usize,
-    ranges: &mut [(usize, usize)],
-    prefix: &mut Vec<u32>,
-    matches: &mut [u64],
-    out: &mut Vec<u32>,
+    num_levels: usize,
     meter: &mut Meter,
-) -> Result<(), ExhaustionReason> {
-    if level == participants.len() {
-        meter.charge_tuples(1)?;
-        out.extend_from_slice(prefix);
-        return Ok(());
-    }
-    let parts = &participants[level];
-    let saved: Vec<(usize, usize)> = parts.iter().map(|&p| ranges[p]).collect();
-    // The leapfrog front: the largest of the participants' first
-    // values; every participant is seeked up to it, and a round where
-    // nobody moves past it is a match.
-    let mut x = parts
-        .iter()
-        .map(|&p| {
-            let depth = views[p].depth_at_level[level].expect("participant binds level");
-            views[p].rows.row(ranges[p].0)[depth]
+    emit: &mut dyn FnMut(&[u32]),
+) -> Result<Vec<u64>, ExhaustionReason> {
+    let participants: Vec<Vec<usize>> = (0..num_levels)
+        .map(|l| {
+            (0..views.len())
+                .filter(|&v| views[v].depth_at_level[l].is_some())
+                .collect()
         })
-        .max()
-        .expect("an attribute occurs in at least one relation");
-    let result = 'outer: loop {
-        let mut aligned = true;
-        for &p in parts {
-            if let Err(reason) = meter.tick() {
-                break 'outer Err(reason);
-            }
-            let depth = views[p].depth_at_level[level].expect("participant binds level");
-            let (lo, hi) = ranges[p];
-            // Seek: first row in range with row[depth] >= x. The rows
-            // share the bound prefix, so the level column is sorted.
-            let seek = views[p].rows.partition_point(lo..hi, |row| row[depth] < x);
-            if seek == hi {
-                break 'outer Ok(()); // some participant exhausted: done
-            }
-            ranges[p].0 = seek;
-            let v = views[p].rows.row(seek)[depth];
-            if v > x {
-                x = v;
-                aligned = false;
-                break; // restart the round at the new front
-            }
-        }
-        if !aligned {
-            continue;
-        }
-        // Every participant agrees on x: narrow each to its x-block,
-        // bind, and descend.
-        matches[level] += 1;
-        let mut blocks = Vec::with_capacity(parts.len());
-        for &p in parts {
-            let depth = views[p].depth_at_level[level].expect("participant binds level");
-            let (lo, hi) = ranges[p];
-            let end = views[p].rows.partition_point(lo..hi, |row| row[depth] == x);
-            blocks.push(end);
-            ranges[p] = (lo, end);
-        }
-        prefix.push(x);
-        let deeper = leapfrog(
-            views,
-            participants,
-            level + 1,
-            ranges,
-            prefix,
-            matches,
-            out,
-            meter,
-        );
-        prefix.pop();
-        for (i, &p) in parts.iter().enumerate() {
-            ranges[p] = (blocks[i], saved[i].1);
-        }
-        if let Err(reason) = deeper {
-            break 'outer Err(reason);
-        }
-        match x.checked_add(1) {
-            Some(next) => x = next,
-            None => break 'outer Ok(()),
-        }
+        .collect();
+    assert!(
+        participants.iter().all(|p| !p.is_empty()),
+        "every level must be bound by some view"
+    );
+    debug_assert!(views.iter().all(|v| !v.rows.is_empty()));
+    let mut state = Leapfrog {
+        views,
+        saved: vec![Vec::new(); num_levels],
+        participants,
+        ranges: views.iter().map(|v| (0, v.rows.len())).collect(),
+        prefix: Vec::with_capacity(num_levels),
+        matches: vec![0; num_levels],
     };
-    for (i, &p) in parts.iter().enumerate() {
-        ranges[p] = saved[i];
+    state.descend(0, meter, emit)?;
+    Ok(state.matches)
+}
+
+/// The leapfrog's working state: each view's current row range, the
+/// bound prefix, and per level the participants and the ranges to
+/// restore on leaving it (kept here so the recursion allocates
+/// nothing).
+struct Leapfrog<'v, 'a> {
+    views: &'v [TrieView<'a>],
+    participants: Vec<Vec<usize>>,
+    saved: Vec<Vec<(usize, usize)>>,
+    ranges: Vec<(usize, usize)>,
+    prefix: Vec<u32>,
+    matches: Vec<u64>,
+}
+
+impl Leapfrog<'_, '_> {
+    /// Binds `level` and everything below it; the participants'
+    /// ranges are restored before returning, so the caller's state
+    /// survives.
+    fn descend(
+        &mut self,
+        level: usize,
+        meter: &mut Meter,
+        emit: &mut dyn FnMut(&[u32]),
+    ) -> Result<(), ExhaustionReason> {
+        if level == self.participants.len() {
+            meter.charge_tuples(1)?;
+            emit(&self.prefix);
+            return Ok(());
+        }
+        let parts = std::mem::take(&mut self.participants[level]);
+        let mut saved = std::mem::take(&mut self.saved[level]);
+        saved.clear();
+        saved.extend(parts.iter().map(|&p| self.ranges[p]));
+        let result = self.intersect(level, &parts, &saved, meter, emit);
+        for (&p, &range) in parts.iter().zip(&saved) {
+            self.ranges[p] = range;
+        }
+        self.participants[level] = parts;
+        self.saved[level] = saved;
+        result
     }
-    result
+
+    /// The leapfrog intersection at `level`: the participants' ranges
+    /// are intersected on their level column, and every surviving value
+    /// is bound and recursed one level deeper.
+    fn intersect(
+        &mut self,
+        level: usize,
+        parts: &[usize],
+        saved: &[(usize, usize)],
+        meter: &mut Meter,
+        emit: &mut dyn FnMut(&[u32]),
+    ) -> Result<(), ExhaustionReason> {
+        let views = self.views;
+        let depth = |p: usize| views[p].depth_at_level[level].expect("participant binds level");
+        // The leapfrog front: the largest of the participants' first
+        // values; every participant is seeked up to it, and a round
+        // where nobody moves past it is a match.
+        let mut x = parts
+            .iter()
+            .map(|&p| views[p].rows.row(self.ranges[p].0)[depth(p)])
+            .max()
+            .expect("every level has a participant");
+        loop {
+            let mut aligned = true;
+            for &p in parts {
+                meter.tick()?;
+                let d = depth(p);
+                let (lo, hi) = self.ranges[p];
+                // Seek: first row in range with row[d] >= x. The rows
+                // share the bound prefix, so the level column is sorted.
+                let seek = views[p].rows.partition_point(lo..hi, |row| row[d] < x);
+                if seek == hi {
+                    return Ok(()); // some participant exhausted: done
+                }
+                self.ranges[p].0 = seek;
+                let v = views[p].rows.row(seek)[d];
+                if v > x {
+                    x = v;
+                    aligned = false;
+                    break; // restart the round at the new front
+                }
+            }
+            if !aligned {
+                continue;
+            }
+            // Every participant agrees on x: narrow each to its
+            // x-block, bind, and descend.
+            self.matches[level] += 1;
+            for &p in parts {
+                let d = depth(p);
+                let (lo, hi) = self.ranges[p];
+                self.ranges[p].1 = views[p].rows.partition_point(lo..hi, |row| row[d] == x);
+            }
+            self.prefix.push(x);
+            let deeper = self.descend(level + 1, meter, emit);
+            self.prefix.pop();
+            deeper?;
+            // Resume each participant after its x-block.
+            for (&p, &(_, hi)) in parts.iter().zip(saved) {
+                self.ranges[p] = (self.ranges[p].1, hi);
+            }
+            match x.checked_add(1) {
+                Some(next) => x = next,
+                None => return Ok(()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -59,11 +59,13 @@ impl CacheKey {
     }
 
     /// True iff the two keys denote equivalent queries: equal invariant
-    /// hashes *and* homomorphically equivalent marked canonical
-    /// structures. The second check is what makes equal keys imply
-    /// set-equal answers on every database.
+    /// hashes *and* either identical cores or homomorphically equivalent
+    /// marked canonical structures. The last check is what makes equal
+    /// keys imply set-equal answers on every database; identical cores
+    /// build identical structures, so they skip it.
     pub fn matches(&self, other: &CacheKey) -> bool {
-        self.invariant == other.invariant && marked_equivalent(&self.marked, &other.marked)
+        self.invariant == other.invariant
+            && (self.core == other.core || marked_equivalent(&self.marked, &other.marked))
     }
 }
 
@@ -281,7 +283,8 @@ impl SemanticCache {
     /// with the view's incrementally maintained answers — they keep
     /// serving hits without recomputation. Entries no view covers fall
     /// back to plain invalidation (dropped, exactly as a version bump
-    /// would strand them). Returns `(revalidated, dropped)`.
+    /// would strand them). Each view's answers are serialized at most
+    /// once. Returns `(revalidated, dropped)`.
     pub fn revalidate_db(
         &self,
         db: &str,
@@ -300,15 +303,20 @@ impl SemanticCache {
         });
         let mut revalidated = 0u64;
         let mut dropped = 0u64;
+        let mut json: Vec<Option<String>> = vec![None; fresh.len()];
         for entry in drained {
-            match fresh.iter().find(|(k, _)| k.matches(&entry.key)) {
-                Some((_, answers)) => {
+            match fresh.iter().position(|(k, _)| k.matches(&entry.key)) {
+                Some(i) => {
+                    let answers = &fresh[i].1;
+                    let answers_json = json[i]
+                        .get_or_insert_with(|| relation_to_json(answers))
+                        .clone();
                     buckets
                         .entry((db.to_owned(), new_version, entry.key.invariant))
                         .or_default()
                         .push(Entry {
                             key: entry.key,
-                            answers_json: relation_to_json(answers),
+                            answers_json,
                             answers: answers.clone(),
                         });
                     revalidated += 1;
@@ -381,6 +389,20 @@ mod tests {
         assert!(base.matches(&renamed));
         assert!(renamed.matches(&base));
         assert!(base.matches(&padded));
+    }
+
+    #[test]
+    fn identical_cores_match_without_a_hom_test() {
+        let key = CacheKey::of(&q("Q(X,Y) :- E(X,Z), E(Z,Y)"));
+        // A key whose marked structure disagrees with its core is never
+        // built; it shows that identical cores skip the hom test.
+        let mut stale = key.clone();
+        stale.marked = CacheKey::of(&q("Q(X,Y) :- E(X,Y)")).marked;
+        assert!(key.matches(&stale));
+        // A renamed core is not identical: the hom test decides.
+        let renamed = CacheKey::of(&q("Q(A,B) :- E(A,C), E(C,B)"));
+        assert!(!renamed.matches(&stale));
+        assert!(renamed.matches(&key));
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub use proto::{
     PROTOCOL_VERSION,
 };
 pub use server::{
-    ExecHook, Rejection, Server, ServerConfig, ShutdownMode, Stats, Ticket, MIN_RETRY_HINT_MS,
+    ExecHook, Rejection, Server, ServerConfig, ShutdownMode, Stats, Ticket, ViewsGuard,
+    MIN_RETRY_HINT_MS,
 };
 pub use storage::{
     verify_data_dir, DurableStorage, IntegrityIssue, MemStorage, PersistedDb, PersistedDelta,

@@ -506,25 +506,68 @@ pub fn retry_with_backoff(
 }
 
 /// Serialises an answer relation as a deterministic JSON array of rows:
-/// rows sorted lexicographically, so equal relations always produce
-/// byte-identical strings regardless of which engine (or cache entry)
-/// supplied them.
+/// rows sorted lexicographically — the order a [`Relation`] keeps them
+/// in — so equal relations always produce byte-identical strings
+/// regardless of which engine (or cache entry) supplied them. Written
+/// into one pre-sized buffer.
 pub fn relation_to_json(rel: &Relation) -> String {
-    let mut rows: Vec<&[u32]> = rel.iter().collect();
-    rows.sort_unstable();
-    let body: Vec<String> = rows
-        .iter()
-        .map(|t| {
-            let cells: Vec<String> = t.iter().map(u32::to_string).collect();
-            format!("[{}]", cells.join(","))
-        })
-        .collect();
-    format!("[{}]", body.join(","))
+    let mut out = String::with_capacity(2 + rel.len() * (2 + rel.arity() * 5));
+    out.push('[');
+    for (i, row) in rel.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &x) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_decimal(&mut out, x);
+        }
+        out.push(']');
+    }
+    out.push(']');
+    out
+}
+
+/// Appends `x` in decimal.
+fn push_decimal(out: &mut String, mut x: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn relation_json_golden_strings() {
+        let rel = |arity: usize, rows: &[&[u32]]| Relation::from_tuples(arity, rows).unwrap();
+        assert_eq!(relation_to_json(&Relation::empty(0)), "[]");
+        assert_eq!(relation_to_json(&rel(0, &[&[]])), "[[]]");
+        assert_eq!(relation_to_json(&Relation::empty(2)), "[]");
+        assert_eq!(
+            relation_to_json(&rel(1, &[&[10], &[7], &[0]])),
+            "[[0],[7],[10]]"
+        );
+        assert_eq!(
+            relation_to_json(&rel(2, &[&[123, 4], &[9, 4_294_967_295], &[9, 80]])),
+            "[[9,80],[9,4294967295],[123,4]]"
+        );
+        assert_eq!(
+            relation_to_json(&rel(3, &[&[1, 20, 300], &[0, 0, 0]])),
+            "[[0,0,0],[1,20,300]]"
+        );
+    }
 
     #[test]
     fn parses_every_op() {

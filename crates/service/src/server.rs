@@ -38,6 +38,7 @@ use cspdb_cq::{
 use cspdb_ivm::{Delta, IvmError, MaterializedView, ViewSet};
 use cspdb_relalg::estimated_join_peak;
 use std::collections::{HashMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -419,6 +420,81 @@ impl LatencyRing {
     }
 }
 
+/// The maintained views, and with each CQ view the cache key of its
+/// query, computed once when the view is registered. A delta pairs
+/// every surviving CQ view with its key to revalidate cached answers;
+/// a view that is replaced or dropped takes its key with it.
+#[derive(Default)]
+struct Views {
+    set: ViewSet,
+    /// Per database, the keys of its CQ views: a key belongs to the
+    /// view whose query is the key's core.
+    keys: HashMap<String, Vec<CacheKey>>,
+}
+
+impl Views {
+    /// Registers (or replaces) the counting view of `key.core`,
+    /// labelled by its name, and keeps `key` with it.
+    fn register_cq(
+        &mut self,
+        db: &str,
+        key: CacheKey,
+        structure: &Structure,
+        budget: &Budget,
+    ) -> Result<(), IvmError> {
+        self.set.register_cq(db, &key.core, structure, budget)?;
+        let keys = self.keys.entry(db.to_owned()).or_default();
+        keys.retain(|k| k.core.name != key.core.name);
+        keys.push(key);
+        Ok(())
+    }
+
+    fn drop_db(&mut self, db: &str) {
+        self.set.drop_db(db);
+        self.keys.remove(db);
+    }
+
+    /// Every keyed CQ view of `db` as its key and maintained answers.
+    /// Keys whose view is gone (replaced, or dropped after failed
+    /// maintenance) are dropped here.
+    fn fresh(&mut self, db: &str) -> Vec<(CacheKey, Relation)> {
+        let Some(keys) = self.keys.get_mut(db) else {
+            return Vec::new();
+        };
+        let views = self.set.views(db);
+        let mut fresh = Vec::with_capacity(keys.len());
+        keys.retain(|key| {
+            let view = views.iter().find_map(|v| match v {
+                MaterializedView::Cq(cq) if *cq.query() == key.core => Some(cq),
+                _ => None,
+            });
+            if let Some(cq) = view {
+                fresh.push((key.clone(), cq.answers().clone()));
+            }
+            view.is_some()
+        });
+        fresh
+    }
+}
+
+/// The server's view registry, locked while the guard lives (see
+/// [`Server::views`]).
+pub struct ViewsGuard<'a>(MutexGuard<'a, Views>);
+
+impl Deref for ViewsGuard<'_> {
+    type Target = ViewSet;
+
+    fn deref(&self) -> &ViewSet {
+        &self.0.set
+    }
+}
+
+impl DerefMut for ViewsGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ViewSet {
+        &mut self.0.set
+    }
+}
+
 struct Inner {
     catalog: Catalog,
     cache: SemanticCache,
@@ -426,7 +502,7 @@ struct Inner {
     /// [`Server::views`]). One coarse lock: every delta already
     /// serializes on its catalog shard, and view maintenance is the
     /// dominant cost, not the lock.
-    views: Mutex<ViewSet>,
+    views: Mutex<Views>,
     cache_enabled: bool,
     heavy_threshold: u64,
     lanes: [Lane; 2],
@@ -536,7 +612,7 @@ impl Server {
         let inner = Arc::new(Inner {
             catalog,
             cache,
-            views: Mutex::new(ViewSet::new()),
+            views: Mutex::default(),
             cache_enabled: config.cache_enabled,
             heavy_threshold: config.heavy_threshold,
             lanes: [
@@ -577,27 +653,34 @@ impl Server {
     }
 
     /// The server's materialized-view registry, locked for the guard's
-    /// lifetime. Register views here (CQ views also auto-register on
-    /// cold cache misses); `insert`/`delete` requests maintain them and
+    /// lifetime. Register Datalog and RPQ views here; `insert`/`delete`
+    /// requests maintain them. CQ views belong to
+    /// [`Server::register_cq_view`] (they also auto-register on cold
+    /// cache misses): only those carry the cache key that lets a delta
     /// re-validate covered cache entries against them.
-    pub fn views(&self) -> MutexGuard<'_, ViewSet> {
-        lock_recover(&self.inner.views, &self.inner.counters)
+    pub fn views(&self) -> ViewsGuard<'_> {
+        ViewsGuard(lock_recover(&self.inner.views, &self.inner.counters))
     }
 
     /// Registers (or replaces) a counting-maintained CQ view on `db`,
-    /// labelled by the query's name.
+    /// labelled by the query's name. The view maintains the query's
+    /// core, whose cache key is computed here, once.
     ///
     /// # Errors
     ///
     /// A message when the database is unknown, the query does not
     /// parse, or the initial materialization fails.
     pub fn register_cq_view(&self, db: &str, query: &str) -> Result<(), String> {
-        let q = ConjunctiveQuery::parse(query)?;
+        let key = CacheKey::of(&ConjunctiveQuery::parse(query)?);
+        // Every catalog write commits under the views lock, so the
+        // snapshot read under it is the one the view must start from.
+        let mut views = self.views();
         let Some((_, structure)) = self.inner.catalog.get(db) else {
             return Err(format!("unknown database \"{db}\""));
         };
-        self.views()
-            .register_cq(db, &q, &structure, &self.inner.request_budget)
+        views
+            .0
+            .register_cq(db, key, &structure, &self.inner.request_budget)
             .map_err(|e| e.to_string())
     }
 
@@ -1201,15 +1284,10 @@ fn run_delta(inner: &Inner, db: &str, fact: &str, insert: bool) -> Outcome {
     // new version with the maintained answers. Entries no surviving CQ
     // view covers fall back to version-bump invalidation. The view
     // lock is released before touching the cache.
-    let _results = views.apply_delta(db, &delta, &pre, &post, &inner.request_budget);
-    let fresh: Vec<(CacheKey, Relation)> = views
-        .views(db)
-        .iter()
-        .filter_map(|v| match v {
-            MaterializedView::Cq(cq) => Some((CacheKey::of(cq.query()), cq.answers().clone())),
-            _ => None,
-        })
-        .collect();
+    let _results = views
+        .set
+        .apply_delta(db, &delta, &pre, &post, &inner.request_budget);
+    let fresh = views.fresh(db);
     drop(views);
     if inner.cache_enabled {
         let (revalidated, dropped) = inner.cache.revalidate_db(db, version, &fresh);
@@ -1366,8 +1444,9 @@ fn run_cq(inner: &Inner, db_name: &str, query: &str, budget: &Budget, degraded: 
             {
                 let mut views = lock_recover(&inner.views, &inner.counters);
                 let current = inner.catalog.get(db_name).map(|(v, _)| v);
-                if current == Some(version) && views.answers(db_name, &key.core.name).is_none() {
-                    let _ = views.register_cq(db_name, &key.core, &db, budget);
+                if current == Some(version) && views.set.answers(db_name, &key.core.name).is_none()
+                {
+                    let _ = views.register_cq(db_name, key.clone(), &db, budget);
                 }
             }
             let rows = inner.cache.insert(db_name, version, key, rel);

@@ -34,7 +34,7 @@
 //! an entry serves a hit.
 
 use cspdb_core::trace::{TraceEvent, Tracer};
-use cspdb_core::{Structure, VocabularyBuilder};
+use cspdb_core::{Relation, Structure, VocabularyBuilder};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -408,7 +408,7 @@ pub fn decode_db_payload(payload: &[u8]) -> Result<(String, u64, Structure), Sto
     let name = c.str()?;
     let domain_size = c.u64()? as usize;
     let nrels = c.u32()? as usize;
-    let mut rels: Vec<(String, usize, Vec<Vec<u32>>)> = Vec::new();
+    let mut rels: Vec<(String, Relation)> = Vec::new();
     let mut builder = VocabularyBuilder::new();
     for _ in 0..nrels {
         let rel_name = c.str()?;
@@ -418,27 +418,30 @@ pub fn decode_db_payload(payload: &[u8]) -> Result<(String, u64, Structure), Sto
         if arity.saturating_mul(nrows).saturating_mul(4) > payload.len() {
             return Err(StorageError::Corrupt("row count exceeds payload".into()));
         }
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(c.u32()?);
-            }
-            rows.push(row);
+        let mut data = Vec::with_capacity(arity * nrows);
+        for _ in 0..arity * nrows {
+            data.push(c.u32()?);
+        }
+        // The encoder writes each relation once, under its unique name.
+        if rels.iter().any(|(n, _)| *n == rel_name) {
+            return Err(StorageError::Corrupt(format!(
+                "relation {rel_name} recorded twice"
+            )));
         }
         builder
             .add_or_get(&rel_name, arity)
             .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        rels.push((rel_name, arity, rows));
+        rels.push((rel_name, Relation::from_flat(arity, nrows, data)));
     }
     c.done()?;
     let voc = builder.finish();
-    let mut s = Structure::new(voc, domain_size);
-    for (rel_name, _, rows) in &rels {
-        for row in rows {
-            s.insert_by_name(rel_name, row)
-                .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        }
+    let mut s = Structure::new(voc.clone(), domain_size);
+    for (rel_name, rel) in rels {
+        let id = voc
+            .id(&rel_name)
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
+        s.set_relation(id, rel)
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
     }
     Ok((name, version, s))
 }
@@ -1234,6 +1237,47 @@ mod tests {
         assert_eq!((name.as_str(), version), ("graph", 7));
         assert_eq!(structure_to_facts(&back), structure_to_facts(&s));
         assert_eq!(back.domain_size(), s.domain_size());
+    }
+
+    /// A database payload holding the given `(name, arity, values)`
+    /// relation records, written field by field.
+    fn raw_db_payload(domain: u64, rels: &[(&str, u32, &[u32])]) -> Vec<u8> {
+        let mut out = vec![TAG_DB];
+        out.extend_from_slice(&1u64.to_le_bytes());
+        put_str(&mut out, "g");
+        out.extend_from_slice(&domain.to_le_bytes());
+        out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
+        for &(name, arity, values) in rels {
+            put_str(&mut out, name);
+            out.extend_from_slice(&arity.to_le_bytes());
+            out.extend_from_slice(&((values.len() as u32 / arity.max(1)) as u64).to_le_bytes());
+            for v in values {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn db_payload_decodes_unsorted_rows_and_rejects_bad_records() {
+        let (_, _, s) = decode_db_payload(&raw_db_payload(4, &[("E", 2, &[3, 0, 1, 2, 3, 0])]))
+            .expect("unsorted rows with a repeat decode");
+        assert_eq!(structure_to_facts(&s), "E 1 2\nE 3 0\n");
+        let corrupt = |payload: Vec<u8>| {
+            assert!(matches!(
+                decode_db_payload(&payload),
+                Err(StorageError::Corrupt(_))
+            ))
+        };
+        // The same relation twice is rejected, not merged.
+        corrupt(raw_db_payload(4, &[("E", 2, &[0, 1]), ("E", 2, &[1, 2])]));
+        corrupt(raw_db_payload(4, &[("E", 2, &[0, 1]), ("E", 1, &[1])]));
+        // A value outside the domain.
+        corrupt(raw_db_payload(2, &[("E", 2, &[0, 2])]));
+        // More rows claimed than bytes present.
+        let mut short = raw_db_payload(4, &[("E", 2, &[0, 1])]);
+        short.truncate(short.len() - 4);
+        corrupt(short);
     }
 
     #[test]

@@ -596,3 +596,61 @@ fn wire_protocol_roundtrip() {
         .to_json()
         .contains(r#""cached":false,"answers":[[0,2]]"#));
 }
+
+fn delta(id: u64, db: &str, fact: &str, insert: bool) -> Request {
+    let (db, fact) = (db.into(), fact.into());
+    req(
+        id,
+        if insert {
+            RequestBody::Insert { db, fact }
+        } else {
+            RequestBody::Delete { db, fact }
+        },
+    )
+}
+
+/// The rows and cache flag of an answer response.
+fn answers(response: &Response) -> (&str, bool) {
+    match &response.outcome {
+        Outcome::Answers { rows, cached, .. } => (rows, *cached),
+        other => panic!("expected answers, got {other:?}"),
+    }
+}
+
+#[test]
+fn deltas_revalidate_by_view_key_and_drop_entries_of_replaced_views() {
+    let server = Server::start(ServerConfig::default());
+    let ask = |id: u64, query: &str| server.submit(cq(id, "g", query)).unwrap().wait();
+    server
+        .submit(put(1, "g", "E 0 1\nE 1 2\nE 2 3"))
+        .unwrap()
+        .wait();
+    // A cold read caches its answer and registers the view "Q".
+    let cold = ask(2, "Q(X,Y) :- E(X,Z), E(Z,Y)");
+    assert_eq!(answers(&cold), ("[[0,2],[1,3]]", false));
+    // Unreplaced: after a delta, a renamed equivalent read is a
+    // confirmed hit serving the maintained answer.
+    server.submit(delta(3, "g", "E 3 4", true)).unwrap().wait();
+    let hit = ask(4, "Q(A,B) :- E(C,B), E(A,C)");
+    assert_eq!(answers(&hit), ("[[0,2],[1,3],[2,4]]", true));
+    assert_eq!(server.stats().cache_revalidations, 1);
+    // Replacing the label's view with an inequivalent query must drop
+    // the old entry at the next delta, not re-key it with the new
+    // view's answers.
+    server.register_cq_view("g", "Q(X,Y) :- E(X,Y)").unwrap();
+    server.submit(delta(5, "g", "E 0 1", false)).unwrap().wait();
+    let after = ask(6, "Q(A,B) :- E(A,C), E(C,B)");
+    assert_eq!(answers(&after), ("[[1,3],[2,4]]", false));
+    let stats = server.stats();
+    assert_eq!(stats.cache_revalidations, 1);
+    assert!(stats.cache_invalidations >= 1);
+    // The replacement view is maintained and keyed: its own shape is
+    // revalidated by the next delta.
+    let edges = ask(7, "Q(U,V) :- E(U,V)");
+    assert_eq!(answers(&edges), ("[[1,2],[2,3],[3,4]]", false));
+    server.submit(delta(8, "g", "E 4 0", true)).unwrap().wait();
+    let again = ask(9, "Q(S,T) :- E(S,T)");
+    assert_eq!(answers(&again), ("[[1,2],[2,3],[3,4],[4,0]]", true));
+    assert!(server.verify_views().is_empty());
+    server.shutdown(ShutdownMode::Drain);
+}
